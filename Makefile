@@ -7,6 +7,7 @@
 #   make bench-gate  deterministic pipeline stats vs checked-in golden
 #   make fuzz        short fuzz session on the minilang frontend
 #   make bench       sequential-vs-parallel detection speedup benchmark
+#   make bench-layers detect, witness and PTA benchmarks, 10 runs each
 #
 # The checked-in fuzz corpus under internal/lang/testdata/fuzz is replayed
 # by the plain `go test` runs, so regressions on past findings fail `ci`.
@@ -14,7 +15,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet build test race cover bench-gate fuzz bench
+.PHONY: ci vet build test race cover bench-gate fuzz bench bench-layers
 
 ci: vet build test race cover bench-gate
 
@@ -48,3 +49,10 @@ fuzz:
 
 bench:
 	$(GO) test -run=NONE -bench=ParallelDetect -benchmem .
+
+# Per-layer benchmarks with exact allocations, repeated so the spread of
+# each layer's time is visible (compare two runs with benchstat):
+# detection on zookeeper, witness building plus JSON on sqlite3, and the
+# pointer analysis on the Linux model.
+bench-layers:
+	$(GO) test -run=NONE -bench='^(BenchmarkDetectAllocs|BenchmarkWitnesses|BenchmarkPTASolve)$$' -benchmem -count=10 .

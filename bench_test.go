@@ -15,6 +15,7 @@ package o2_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"time"
@@ -276,6 +277,50 @@ func BenchmarkDetectAllocs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPTASolve measures the pointer analysis alone on the §5.4 Linux
+// kernel model, the largest preset, with its exact allocation profile:
+//
+//	go test -run=NONE -bench=PTASolve -benchmem
+func BenchmarkPTASolve(b *testing.B) {
+	entries := ir.DefaultEntryConfig()
+	prog := workload.Build(workload.Linux(), entries)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := pta.New(prog, pta.Config{Policy: bench.POPA, Entries: entries, ReplicateEvents: true})
+		if err := a.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWitnesses measures witness building plus its JSON encoding on
+// the sqlite3 preset, the witness-bound workload (over two thousand
+// races), as o2 analyze -explain-json and the preset-analyze benchmark
+// produce them:
+//
+//	go test -run=NONE -bench=Witnesses -benchmem
+func BenchmarkWitnesses(b *testing.B) {
+	p, _ := workload.ByName("sqlite3")
+	cfg := o2.DefaultConfig()
+	res, err := o2.Analyze(context.Background(), workload.Build(p, cfg.Entries), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws := race.Witnesses(res.Analysis, res.Graph, res.Report)
+		out, err := json.Marshal(ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = len(out)
+	}
+}
+
+// benchSink keeps benchmark results alive past the compiler.
+var benchSink int
 
 // BenchmarkFigure2 measures the paper's running example end to end.
 func BenchmarkFigure2(b *testing.B) {

@@ -11,8 +11,8 @@ type Bits struct {
 // Add inserts i, reporting whether the set changed.
 func (b *Bits) Add(i uint32) bool {
 	word, bit := int(i>>6), i&63
-	for word >= len(b.w) {
-		b.w = append(b.w, 0)
+	if word >= len(b.w) {
+		b.grow(word + 1)
 	}
 	m := uint64(1) << bit
 	if b.w[word]&m != 0 {
@@ -20,6 +20,12 @@ func (b *Bits) Add(i uint32) bool {
 	}
 	b.w[word] |= m
 	return true
+}
+
+// grow extends the word slice to n words in one append, so a set that
+// jumps by many words reallocates at most once.
+func (b *Bits) grow(n int) {
+	b.w = append(b.w, make([]uint64, n-len(b.w))...)
 }
 
 // Has reports whether i is in the set.
@@ -31,8 +37,8 @@ func (b *Bits) Has(i uint32) bool {
 // UnionWith ors c into b, reporting whether b changed.
 func (b *Bits) UnionWith(c *Bits) bool {
 	changed := false
-	for len(b.w) < len(c.w) {
-		b.w = append(b.w, 0)
+	if len(b.w) < len(c.w) {
+		b.grow(len(c.w))
 	}
 	for i, w := range c.w {
 		if w&^b.w[i] != 0 {
@@ -42,8 +48,6 @@ func (b *Bits) UnionWith(c *Bits) bool {
 	}
 	return changed
 }
-
-// DiffFrom sets b to c minus b's current contents... (unused placeholder removed)
 
 // Intersects reports whether b and c share an element.
 func (b *Bits) Intersects(c *Bits) bool {

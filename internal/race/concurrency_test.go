@@ -9,7 +9,7 @@ import (
 
 // TestParallelDetectHighWorkerCounts runs detection on a large generated
 // workload with worker counts well above GOMAXPROCS. Run under
-// `go test -race` this exercises the sharded SHB reachability cache, the
+// `go test -race` this exercises the SHB frontier index, the
 // lockset intersection cache and the shared pair-budget atomics.
 func TestParallelDetectHighWorkerCounts(t *testing.T) {
 	a, sh, g := solvePreset(t, "zookeeper")

@@ -2,14 +2,12 @@ package race
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"o2/internal/obs"
 	"o2/internal/pta"
-	"o2/internal/ring"
 	"o2/internal/shb"
 )
 
@@ -58,19 +56,20 @@ func (b *pairBudget) isTripped() bool { return b.tripped.Load() }
 // either because the pair budget tripped or the context ended.
 func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped() }
 
-// detectParallel shards the sorted candidate groups across workers.
-// Workers claim group indices from a shared atomic cursor, write each
-// result into its own slot and push the finished index onto a bounded
-// lock-free ring — the completion feed. The caller consumes the ring and
-// merges the contiguous done-prefix in sorted key order as results arrive,
-// so the deterministic merge streams alongside detection instead of
-// waiting behind a wg.Wait barrier, with no per-item allocation (a channel
-// feed would take a lock and may park a goroutine per send). Because
-// merging replays results in index order, the cross-group race dedup sees
-// candidates in exactly the sequential encounter order — the parallel
-// report is byte-identical to Workers == 1 whenever the budget does not
-// trip, and a consistent lower bound when it does (finished groups keep
-// all their races).
+// detectParallel shards the sorted candidate groups across workers. The
+// caller is worker 0 and spawns workers-1 more; every worker claims group
+// indices from a shared atomic cursor, writes the result into the group's
+// own slot and then raises the group's done flag. Between its own groups
+// the caller merges the completed prefix in sorted key order, so merging
+// streams alongside detection without a merger goroutine, a completion
+// queue or a polling loop; once it runs out of groups it waits for the
+// other workers and merges the rest. Because merging replays results in
+// index order, the cross-group race dedup sees candidates in exactly the
+// sequential encounter order — the parallel report is byte-identical to
+// Workers == 1 whenever the budget does not trip, and a consistent lower
+// bound when it does (finished groups keep all their races; groups nobody
+// claimed hold zero results, which is the sequential stop-at-trip
+// semantics).
 // It returns the summed busy time of all workers (0 when observability is
 // disabled), which Detect turns into the worker-utilization gauge: a
 // worker is busy from pool entry until it runs out of groups, so the
@@ -78,85 +77,65 @@ func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped
 func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget, workers int, sp *obs.Span) int64 {
 	keys := grp.keys
 	results := make([]groupResult, len(keys))
-	// Capacity covers every group index, so Push below can never find the
-	// ring full: each index is pushed at most once.
-	feed := ring.New[int32](len(keys))
+	// done[i] is raised after results[i] is written; the atomic store and
+	// load order the result write before the caller's merge reads it.
+	done := make([]atomic.Bool, len(keys))
 	var next atomic.Int64
 	var busyNS atomic.Int64
+	m := newMerger(rep, g, opt)
+	nextMerge := 0
+	mergeDone := func() {
+		for nextMerge < len(keys) && done[nextMerge].Load() {
+			m.merge(keys[nextMerge], &results[nextMerge])
+			nextMerge++
+		}
+	}
+	work := func(w int, afterGroup func()) {
+		var ws *obs.Span
+		if sp != nil {
+			ws = sp.Child(fmt.Sprintf("worker-%02d", w))
+			start := time.Now()
+			defer func() {
+				busyNS.Add(int64(time.Since(start)))
+				ws.End()
+			}()
+		}
+		// Per-worker racePair arena: checkGroup results hold views into
+		// it. Never reset — a published view may still be unread by the
+		// merger; later appends only write past every published view's
+		// capacity (see checkGroup).
+		var buf []racePair
+		// Per-worker origin tally, merged additively on exit so the
+		// attribution totals are worker-count independent.
+		tally := opt.newTally()
+		defer opt.Attr.merge(tally)
+		for !bud.stopped() {
+			i := int(next.Add(1)) - 1
+			if i >= len(keys) {
+				return
+			}
+			results[i], buf = checkGroup(a, g, keys[i], grp.group(i), opt, bud, buf, tally)
+			done[i].Store(true)
+			if afterGroup != nil {
+				afterGroup()
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var ws *obs.Span
-			if sp != nil {
-				ws = sp.Child(fmt.Sprintf("worker-%02d", w))
-				start := time.Now()
-				defer func() {
-					busyNS.Add(int64(time.Since(start)))
-					ws.End()
-				}()
-			}
-			// Per-worker racePair arena: checkGroup results hold views
-			// into it. Never reset — a published view may still be unread
-			// by the merger; later appends only write past every
-			// published view's capacity (see checkGroup).
-			var buf []racePair
-			// Per-worker origin tally, merged additively on exit so the
-			// attribution totals are worker-count independent.
-			tally := opt.newTally()
-			defer opt.Attr.merge(tally)
-			for {
-				if bud.stopped() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
-					return
-				}
-				results[i], buf = checkGroup(a, g, keys[i], grp.group(i), opt, bud, buf, tally)
-				feed.Push(int32(i))
-			}
+			work(w, nil)
 		}(w)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// Streaming merge: pop completed indices, extend the merged prefix.
-	completed := make([]bool, len(keys))
-	seen := map[raceSig]bool{}
-	nextMerge := 0
-	drained := false
-	for nextMerge < len(keys) {
-		if i, ok := feed.Pop(); ok {
-			completed[i] = true
-			for nextMerge < len(keys) && completed[nextMerge] {
-				mergeGroup(rep, g, keys[nextMerge], &results[nextMerge], seen, opt.Attr, opt.Progress)
-				nextMerge++
-			}
-			continue
-		}
-		if drained {
-			// Workers exited early (budget trip or cancellation) without
-			// pushing their remaining claims: merge the rest in order —
-			// unchecked groups hold zero results, so this is exactly the
-			// sequential stop-at-trip semantics.
-			for ; nextMerge < len(keys); nextMerge++ {
-				mergeGroup(rep, g, keys[nextMerge], &results[nextMerge], seen, opt.Attr, opt.Progress)
-			}
-			break
-		}
-		select {
-		case <-done:
-			drained = true // one more drain pass, then finish
-		default:
-			runtime.Gosched()
-		}
-	}
-	// The merge can complete while the last workers are still between
-	// their final feed.Push and returning; wait for them so the deferred
-	// per-worker tally merges (and busy-time adds) are all visible before
-	// the caller reads Attr or the utilization gauge.
+	work(0, mergeDone)
+	// Every claimed group is done once the workers exit (and their
+	// deferred tally merges and busy-time adds are visible); unclaimed
+	// groups after a budget trip or cancellation merge as empty results.
 	wg.Wait()
+	for ; nextMerge < len(keys); nextMerge++ {
+		m.merge(keys[nextMerge], &results[nextMerge])
+	}
 	return busyNS.Load()
 }

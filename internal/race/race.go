@@ -314,10 +314,10 @@ func (rep *Report) recordObs(reg *obs.Registry, workers int, busyNS int64) {
 // detectSequential is the Workers == 1 path: groups are checked one after
 // another in sorted key order, stopping at the first budget trip. One
 // racePair buffer is reused across every group (each group's view is
-// materialized by mergeGroup before the next check overwrites it), so the
+// materialized by the merger before the next check overwrites it), so the
 // steady-state loop allocates nothing.
 func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget) {
-	seen := map[raceSig]bool{}
+	m := newMerger(rep, g, opt)
 	var buf []racePair
 	tally := opt.newTally()
 	for i, k := range grp.keys {
@@ -326,7 +326,7 @@ func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, g
 		}
 		var gr groupResult
 		gr, buf = checkGroup(a, g, k, grp.group(i), opt, bud, buf[:0], tally)
-		mergeGroup(rep, g, k, &gr, seen, opt.Attr, opt.Progress)
+		m.merge(k, &gr)
 	}
 	opt.Attr.merge(tally)
 }
@@ -334,7 +334,7 @@ func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, g
 // racePair is a racing access pair in compact form: the two SHB node IDs.
 // The hot loop appends these (8 bytes, into a reused arena) instead of
 // materialized Race structs (~170 bytes of strings and positions each,
-// >90% of which the cross-group dedup would discard); mergeGroup expands
+// >90% of which the cross-group dedup would discard); the merger expands
 // only the pairs whose signature is unseen.
 type racePair struct {
 	a, b int32
@@ -353,33 +353,103 @@ type groupResult struct {
 	reps        int
 }
 
-// mergeGroup folds one group's result into the report, deduplicating
-// races by signature in encounter order and materializing a Race struct
-// only for the first pair of each signature. It runs single-threaded (the
-// sequential loop or the parallel streaming merger) in deterministic
-// group order, so the attribution and progress race counts it updates
-// are deterministic too.
-func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, gr *groupResult, seen map[raceSig]bool, attr *Attribution, prog *obs.Progress) {
+// merger folds group results into the report in deterministic group
+// order, deduplicating races across groups. It runs single-threaded: the
+// sequential loop, or the caller of the parallel pool.
+type merger struct {
+	rep  *Report
+	g    *shb.Graph
+	attr *Attribution
+	prog *obs.Progress
+	// seen holds the dedup key of every reported race. fields interns the
+	// location field names, once per group with racing pairs; pos interns
+	// the access positions, and nodePos[n] caches node n's position ID
+	// plus one (0 = not yet interned). All four are allocated with the
+	// first racing pair.
+	seen    map[dedupKey]struct{}
+	fields  map[string]int32
+	pos     map[ir.Pos]int32
+	nodePos []int32
+}
+
+// dedupKey identifies one source-level race: the location's field (or
+// static) name and the unordered pair of access positions, all interned
+// to integers, so the dedup map hashes 12 bytes per racing pair instead
+// of a field name and two file names.
+type dedupKey struct {
+	field, a, b int32
+}
+
+func newMerger(rep *Report, g *shb.Graph, opt Options) *merger {
+	return &merger{rep: rep, g: g, attr: opt.Attr, prog: opt.Progress}
+}
+
+// posID interns the source position of an access node's instruction.
+// Each node's position is hashed once, on its first racing pair; later
+// pairs read it back from nodePos.
+func (m *merger) posID(node int32) int32 {
+	if id := m.nodePos[node]; id != 0 {
+		return id - 1
+	}
+	p := m.g.Nodes[node].Instr.Pos()
+	id, ok := m.pos[p]
+	if !ok {
+		id = int32(len(m.pos))
+		m.pos[p] = id
+	}
+	m.nodePos[node] = id + 1
+	return id
+}
+
+// merge folds one group's result into the report, deduplicating races by
+// field and unordered position pair in encounter order and materializing
+// a Race struct only for the first pair of each key. Merging runs in
+// group order, so the attribution and progress race counts it updates are
+// deterministic too.
+func (m *merger) merge(k osa.Key, gr *groupResult) {
+	rep, g := m.rep, m.g
 	rep.Representatives += gr.reps
 	rep.PairsChecked += gr.pairs
 	rep.HBQueries += gr.hbq
 	rep.LockChecks += gr.locks
 	rep.SkippedReadRead += gr.skipRR
 	rep.SkippedSameSeg += gr.skipSameSeg
+	if len(gr.rp) == 0 {
+		return
+	}
+	if m.seen == nil {
+		m.seen = map[dedupKey]struct{}{}
+		m.fields = map[string]int32{}
+		m.pos = map[ir.Pos]int32{}
+		m.nodePos = make([]int32, len(g.Nodes))
+	}
+	field := k.Field
+	if k.Static != "" {
+		field = k.Static
+	}
+	fid, ok := m.fields[field]
+	if !ok {
+		fid = int32(len(m.fields))
+		m.fields[field] = fid
+	}
 	newRaces := int64(0)
 	for _, p := range gr.rp {
-		sig := sigOfNodes(g, k, int(p.a), int(p.b))
-		if !seen[sig] {
-			seen[sig] = true
-			rep.Races = append(rep.Races, Race{Key: k, A: accessNode(g, int(p.a)), B: accessNode(g, int(p.b))})
-			newRaces++
-			if attr != nil {
-				tallyPair(attr.Races, g, int(p.a), int(p.b))
-			}
+		key := dedupKey{fid, m.posID(p.a), m.posID(p.b)}
+		if key.b < key.a {
+			key.a, key.b = key.b, key.a
+		}
+		if _, dup := m.seen[key]; dup {
+			continue
+		}
+		m.seen[key] = struct{}{}
+		rep.Races = append(rep.Races, Race{Key: k, A: accessNode(g, int(p.a)), B: accessNode(g, int(p.b))})
+		newRaces++
+		if m.attr != nil {
+			tallyPair(m.attr.Races, g, int(p.a), int(p.b))
 		}
 	}
 	if newRaces > 0 {
-		prog.AddRaces(newRaces)
+		m.prog.AddRaces(newRaces)
 	}
 }
 
@@ -395,7 +465,7 @@ const cancelStride = 64
 
 // checkGroup runs the pairwise hybrid HB × lockset check over one
 // location's representative accesses. It reads only immutable analysis and
-// graph state (the SHB reach cache and the lockset table are internally
+// graph state (the SHB frontier index and the lockset table are internally
 // synchronized), so any number of checkGroup calls may run concurrently.
 //
 // Racing pairs are appended to buf (the caller's arena) in iteration
@@ -643,29 +713,16 @@ func accessNode(g *shb.Graph, node int) Access {
 	return access(g, acc{node, g.Nodes[node].Kind == shb.NWrite})
 }
 
-// sigOfNodes is sigOf computed directly from a compact pair, without
-// materializing the Race.
-func sigOfNodes(g *shb.Graph, k osa.Key, a, b int) raceSig {
-	field := k.Field
-	if k.Static != "" {
-		field = k.Static
-	}
-	pa, pb := g.Nodes[a].Instr.Pos(), g.Nodes[b].Instr.Pos()
-	if posLess(pb, pa) {
-		pa, pb = pb, pa
-	}
-	return raceSig{field, pa, pb}
-}
-
 type raceSig struct {
 	field string
 	aPos  ir.Pos
 	bPos  ir.Pos
 }
 
-// sigOf dedups races by location field and the unordered source-position
-// pair, so one source-level race is reported once regardless of how many
-// abstract objects or origin pairs exhibit it.
+// sigOf is a race's sort key: the location field and the unordered
+// source-position pair. Races with equal signatures are one source-level
+// race, which the merger reports once (it compares the same triple as
+// interned integers, see dedupKey).
 func sigOf(r *Race) raceSig {
 	field := r.Key.Field
 	if r.Key.Static != "" {

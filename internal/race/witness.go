@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"o2/internal/ir"
+	"o2/internal/lockset"
 	"o2/internal/pta"
 	"o2/internal/shb"
 )
@@ -104,17 +106,61 @@ type OrderEvidence struct {
 
 // BuildWitness derives the full witness for a reported race from the
 // solved analysis and SHB graph. It only reads immutable analysis state,
-// so witnesses for many races may be built concurrently.
+// so witnesses for many races may be built concurrently. To build the
+// witnesses of a whole report, use Witnesses, which derives each origin's
+// and lockset's evidence once instead of once per race.
 func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
+	return newWitnessBuilder(a, g).build(r)
+}
+
+// Witnesses builds one witness per reported race, in report order. Each
+// one marshals byte-for-byte like BuildWitness's; the per-origin evidence
+// (attributes, spawn chain, names), the resolved lock names per lockset
+// and the sync edges per segment pair are derived once and shared between
+// the witnesses that cite them, so callers must treat the returned
+// witnesses as read-only.
+func Witnesses(a *pta.Analysis, g *shb.Graph, rep *Report) []*Witness {
+	out := make([]*Witness, len(rep.Races))
+	wb := newWitnessBuilder(a, g)
+	for i := range rep.Races {
+		out[i] = wb.build(&rep.Races[i])
+	}
+	return out
+}
+
+// witnessBuilder memoizes the evidence that depends only on an origin, a
+// lockset, a segment pair or a position, which many races of one report
+// share.
+type witnessBuilder struct {
+	a       *pta.Analysis
+	g       *shb.Graph
+	origins map[pta.OriginID]OriginInfo
+	locks   map[lockset.ID][]string
+	sync    map[[2]shb.SegID][]string
+	pos     map[ir.Pos]string
+}
+
+func newWitnessBuilder(a *pta.Analysis, g *shb.Graph) *witnessBuilder {
+	return &witnessBuilder{
+		a: a, g: g,
+		origins: map[pta.OriginID]OriginInfo{},
+		locks:   map[lockset.ID][]string{},
+		sync:    map[[2]shb.SegID][]string{},
+		pos:     map[ir.Pos]string{},
+	}
+}
+
+func (wb *witnessBuilder) build(r *Race) *Witness {
+	a, g := wb.a, wb.g
 	na, nb := &g.Nodes[r.A.Node], &g.Nodes[r.B.Node]
-	la := lockNames(a, g.Locksets.Set(na.Locks))
-	lb := lockNames(a, g.Locksets.Set(nb.Locks))
+	la := wb.lockNames(na.Locks)
+	lb := wb.lockNames(nb.Locks)
 
 	w := &Witness{
 		Schema:   WitnessSchema,
 		Location: r.Key.String(),
-		A:        witnessAccess(a, r.A),
-		B:        witnessAccess(a, r.B),
+		A:        wb.access(r.A),
+		B:        wb.access(r.B),
 		Locks: LockEvidence{
 			A:      la,
 			B:      lb,
@@ -135,7 +181,7 @@ func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
 		HBBtoA:      g.HappensBefore(r.B.Node, r.A.Node),
 		SameSegment: na.Seg == nb.Seg,
 		Replicated:  a.Origins.Get(g.Origin(r.A.Node)).Replicated,
-		SyncEdges:   syncEdges(g, na.Seg, nb.Seg),
+		SyncEdges:   wb.syncEdges(na.Seg, nb.Seg),
 	}
 	switch {
 	case ord.SameSegment && ord.Replicated:
@@ -149,22 +195,27 @@ func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
 	return w
 }
 
-// Witnesses builds one witness per reported race, in report order.
-func Witnesses(a *pta.Analysis, g *shb.Graph, rep *Report) []*Witness {
-	out := make([]*Witness, len(rep.Races))
-	for i := range rep.Races {
-		out[i] = BuildWitness(a, g, &rep.Races[i])
-	}
-	return out
-}
-
 // MarshalIndent renders the witness as stable, human-diffable JSON.
 func (w *Witness) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(w, "", "  ")
 }
 
-func witnessAccess(a *pta.Analysis, acc Access) WitnessAccess {
-	org := a.Origins.Get(acc.Origin)
+func (wb *witnessBuilder) access(acc Access) WitnessAccess {
+	pos, ok := wb.pos[acc.Pos]
+	if !ok {
+		pos = acc.Pos.String()
+		wb.pos[acc.Pos] = pos
+	}
+	return WitnessAccess{Op: op(acc.Write), Pos: pos, Fn: acc.Fn, Origin: wb.origin(acc.Origin)}
+}
+
+// origin returns the origin's description, derived on first use.
+func (wb *witnessBuilder) origin(id pta.OriginID) OriginInfo {
+	if info, ok := wb.origins[id]; ok {
+		return info
+	}
+	a := wb.a
+	org := a.Origins.Get(id)
 	info := OriginInfo{
 		ID:         uint32(org.ID),
 		Kind:       org.Kind.String(),
@@ -176,7 +227,37 @@ func witnessAccess(a *pta.Analysis, acc Access) WitnessAccess {
 	if org.ID != pta.MainOrigin {
 		info.SpawnPos = org.Pos.String()
 	}
-	return WitnessAccess{Op: op(acc.Write), Pos: acc.Pos.String(), Fn: acc.Fn, Origin: info}
+	wb.origins[id] = info
+	return info
+}
+
+// lockNames returns the lockset's resolved, sorted lock names, derived on
+// first use.
+func (wb *witnessBuilder) lockNames(id lockset.ID) []string {
+	names, ok := wb.locks[id]
+	if !ok {
+		names = lockNames(wb.a, wb.g.Locksets.Set(id))
+		wb.locks[id] = names
+	}
+	return names
+}
+
+// syncEdges returns syncEdges(g, segA, segB), derived once per unordered
+// segment pair (the result is symmetric).
+func (wb *witnessBuilder) syncEdges(segA, segB shb.SegID) []string {
+	if segA == segB {
+		return nil
+	}
+	k := [2]shb.SegID{segA, segB}
+	if segB < segA {
+		k = [2]shb.SegID{segB, segA}
+	}
+	edges, ok := wb.sync[k]
+	if !ok {
+		edges = syncEdges(wb.g, segA, segB)
+		wb.sync[k] = edges
+	}
+	return edges
 }
 
 // spawnChain walks Parent links from the access's origin to main, leaf

@@ -1,3 +1,6 @@
+// Package ring provides the bounded reorder window behind the streaming
+// corpus frontend: results complete in any order and leave in input
+// order, in O(window) memory.
 package ring
 
 import "context"

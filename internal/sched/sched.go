@@ -218,6 +218,7 @@ func summarize(res *o2.Result) *Summary {
 		Inc:      res.Inc,
 	}
 	races := res.Races()
+	witnesses := race.Witnesses(res.Analysis, res.Graph, res.Report)
 	for i := range races {
 		r := &races[i]
 		mk := func(write bool, pos, fn string, origin string) RaceAccess {
@@ -231,7 +232,7 @@ func summarize(res *o2.Result) *Summary {
 			Location: r.Key.String(),
 			A:        mk(r.A.Write, r.A.Pos.String(), r.A.Fn, res.Analysis.Origins.Get(r.A.Origin).String()),
 			B:        mk(r.B.Write, r.B.Pos.String(), r.B.Fn, res.Analysis.Origins.Get(r.B.Origin).String()),
-			Witness:  race.BuildWitness(res.Analysis, res.Graph, r),
+			Witness:  witnesses[i],
 		})
 	}
 	return s

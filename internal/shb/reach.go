@@ -2,51 +2,36 @@ package shb
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
-type reachKey struct {
-	seg SegID
-	idx int // index of the first usable outgoing edge
-}
-
-// reachCache is a sharded, single-flight cache of reachability frontiers.
-// Sharding keeps lock contention low when many detection workers query
-// happens-before concurrently; the per-entry sync.Once guarantees one
-// traversal populates a frontier no matter how many goroutines race to
-// the same key, and every caller then shares the immutable slice.
-type reachCache struct {
-	shards [reachShards]reachShard
-}
-
-const reachShards = 32
-
-type reachShard struct {
-	mu sync.Mutex
-	m  map[reachKey]*frontierEntry
-}
-
+// frontierEntry is one single-flight slot of the reachability index: the
+// first query for its (segment, edge-suffix) computes the frontier inside
+// once, every later query takes the sync.Once fast path (one atomic load)
+// and shares the immutable slice.
 type frontierEntry struct {
 	once sync.Once
 	f    []int
 }
 
-// entry interns the cache slot for key, creating it under the shard lock.
-// The frontier itself is computed outside the lock via entry.once.
-func (c *reachCache) entry(key reachKey) *frontierEntry {
-	s := &c.shards[(uint32(key.seg)*31+uint32(key.idx))%reachShards]
-	s.mu.Lock()
-	e := s.m[key]
-	if e == nil {
-		if s.m == nil {
-			s.m = map[reachKey]*frontierEntry{}
-		}
-		e = &frontierEntry{}
-		s.m[key] = e
+// buildReachIndex allocates the dense frontier index once the graph is
+// complete: reach[seg] holds len(out[seg])+1 entries, one per suffix of
+// the segment's sorted out-edge list (index len(out[seg]) is the empty
+// suffix). Every entry lives in one backing array, so the index costs two
+// allocations and a lookup needs no lock and no hashing.
+func (g *Graph) buildReachIndex() {
+	total := 0
+	for _, es := range g.out {
+		total += len(es) + 1
 	}
-	s.mu.Unlock()
-	return e
+	slots := make([]frontierEntry, total)
+	g.reach = make([][]frontierEntry, len(g.out))
+	off := 0
+	for seg, es := range g.out {
+		n := len(es) + 1
+		g.reach[seg] = slots[off : off+n : off+n]
+		off += n
+	}
 }
 
 // HappensBefore reports whether node x happens before node y. Within a
@@ -77,14 +62,12 @@ func (g *Graph) happensBefore(x, y int, useCache bool) bool {
 // frontier returns, for every segment, the minimum node position reachable
 // from (seg, pos) via inter-origin edges. The result depends on pos only
 // through the index of the first outgoing edge at or after it, which is
-// what the cache keys on. The returned slice must not be modified.
+// what the index is keyed on. The returned slice must not be modified.
 func (g *Graph) frontier(seg SegID, pos int, useCache bool) []int {
-	edges := g.out[seg]
-	idx := sort.Search(len(edges), func(i int) bool { return edges[i].From >= pos })
 	if !useCache {
 		return g.computeFrontier(seg, pos)
 	}
-	e := g.reach.entry(reachKey{seg, idx})
+	e := &g.reach[seg][firstFrom(g.out[seg], pos)]
 	computed := false
 	e.once.Do(func() {
 		e.f = g.computeFrontier(seg, pos)
@@ -101,39 +84,61 @@ func (g *Graph) frontier(seg SegID, pos int, useCache bool) []int {
 	return e.f
 }
 
+// firstFrom returns the index of the first edge in es (sorted by From)
+// whose source is at or after pos, or len(es) if there is none.
+func firstFrom(es []Edge, pos int) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].From < pos {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // computeFrontier performs the worklist traversal. Unreachable segments
 // map to math.MaxInt. It only reads graph state that is immutable after
 // Build, so concurrent calls are safe.
+//
+// The traversal state is the minimum reached position per segment, which
+// is the frontier itself except at the start segment: there the walk
+// starts from pos, while the frontier records only positions reached back
+// through edges (x does not happen before earlier nodes of its own
+// segment). That one entry is tracked on the side, so the result slice
+// doubles as the traversal state.
 func (g *Graph) computeFrontier(seg SegID, pos int) []int {
 	f := make([]int, len(g.Segs))
 	for i := range f {
 		f[i] = math.MaxInt
 	}
-	// Work from (seg, pos): an outgoing edge (from → to) is usable when
-	// from is at or after the minimum reached position in its segment.
-	min := map[SegID]int{seg: pos}
-	f[seg] = math.MaxInt // x does not happen before earlier nodes of its own segment here
-	wl := []SegID{seg}
+	f[seg] = pos
+	self := math.MaxInt
+	var stack [32]SegID // worklist backing; spills to the heap only on deep fan-out
+	wl := append(stack[:0], seg)
 	for len(wl) > 0 {
 		s := wl[len(wl)-1]
 		wl = wl[:len(wl)-1]
-		p := min[s]
 		es := g.out[s]
-		i := sort.Search(len(es), func(i int) bool { return es[i].From >= p })
-		for ; i < len(es); i++ {
-			to := es[i].To
+		// An outgoing edge (from → to) is usable when from is at or after
+		// the minimum reached position in its segment.
+		for _, e := range es[firstFrom(es, f[s]):] {
+			to := e.To
 			if to < 0 {
 				continue
 			}
 			ts := g.Nodes[to].Seg
+			if ts == seg && to < self {
+				self = to
+			}
 			if to < f[ts] {
 				f[ts] = to
-			}
-			if cur, ok := min[ts]; !ok || to < cur {
-				min[ts] = to
 				wl = append(wl, ts)
 			}
 		}
 	}
+	f[seg] = self
 	return f
 }

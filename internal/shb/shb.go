@@ -88,15 +88,18 @@ type Graph struct {
 	Nodes    []Node
 	Segs     []*Segment
 	Locksets *lockset.Table
-	// out[seg] lists inter-origin edges leaving the segment, ordered by
-	// construction (node IDs ascending within a segment's build).
-	out map[SegID][]Edge
-	in  map[SegID][]Edge
+	// out[seg] lists the inter-origin edges leaving the segment, sorted by
+	// source node once the build completes; in[seg] mirrors the edges
+	// entering it. Both are indexed by SegID.
+	out [][]Edge
+	in  [][]Edge
 	a   *pta.Analysis
-	// reach caches cross-segment reachability frontiers per (segment,
-	// outgoing-edge suffix index), sharded and single-flight so concurrent
-	// detection workers share one traversal per frontier; see reach.go.
-	reach reachCache
+	// reach is the dense frontier index: reach[seg][idx] caches the
+	// cross-segment reachability frontier from the suffix of out[seg]
+	// starting at idx, single-flight so concurrent detection workers share
+	// one traversal per frontier; see reach.go. Allocated only when
+	// BuildCtx completes: a partial graph must not be queried.
+	reach [][]frontierEntry
 	// reachHits/reachMisses count frontier cache queries when observability
 	// is enabled (nil counters otherwise; Counter methods are nil-safe).
 	reachHits   *obs.Counter
@@ -134,8 +137,6 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 	defer sp.End()
 	g := &Graph{
 		Locksets: lockset.NewTable(),
-		out:      map[SegID][]Edge{},
-		in:       map[SegID][]Edge{},
 		a:        a,
 	}
 	g.Locksets.Bind(cfg.Obs)
@@ -176,8 +177,7 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 	// channel and WaitGroup barriers); reachability requires each segment's
 	// out-list sorted by source node. To is the tie-breaker so the order of
 	// edges sharing a source is independent of map iteration order.
-	for segID := range g.out {
-		es := g.out[segID]
+	for _, es := range g.out {
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].From != es[j].From {
 				return es[i].From < es[j].From
@@ -185,6 +185,7 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 			return es[i].To < es[j].To
 		})
 	}
+	g.buildReachIndex()
 	if cfg.Obs != nil {
 		edges := 0
 		for _, es := range g.out {
@@ -444,6 +445,8 @@ func (b *builder) segment(entry pta.FnCtxID, origin pta.OriginID) SegID {
 	id := SegID(len(b.g.Segs))
 	s := &Segment{ID: id, Origin: origin, Entry: entry, First: -1, Last: -2}
 	b.g.Segs = append(b.g.Segs, s)
+	b.g.out = append(b.g.out, nil)
+	b.g.in = append(b.g.in, nil)
 	b.segIdx[k] = id
 	b.queue = append(b.queue, s)
 	return id

@@ -2,6 +2,7 @@ package shb_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"o2/internal/ir"
@@ -9,6 +10,7 @@ import (
 	"o2/internal/osa"
 	"o2/internal/pta"
 	"o2/internal/shb"
+	"o2/internal/workload"
 )
 
 func build(t *testing.T, src string, cfg shb.Config) (*pta.Analysis, *shb.Graph) {
@@ -301,17 +303,48 @@ main {
   s.v = null;
 }
 `, shb.Config{})
-	rng := rand.New(rand.NewSource(11))
-	n := len(g.Nodes)
-	if n < 5 {
+	if n := len(g.Nodes); n < 5 {
 		t.Fatalf("graph too small: %d", n)
 	}
-	for i := 0; i < 2000; i++ {
-		x, y := rng.Intn(n), rng.Intn(n)
-		if g.HappensBefore(x, y) != g.HappensBeforeNoCache(x, y) {
-			t.Fatalf("cache disagrees on (%d,%d)", x, y)
-		}
+	checkHBAgreement(t, g)
+
+	// A generated workload with channel, WaitGroup and join edges between
+	// many segments, so the frontier index has real suffixes to share.
+	p, ok := workload.ByName("gosync")
+	if !ok {
+		t.Fatal("gosync preset missing")
 	}
+	entries := ir.DefaultEntryConfig()
+	a := pta.New(workload.Build(p, entries), pta.Config{Policy: pta.Policy{Kind: pta.KOrigin, K: 1}, Entries: entries})
+	if err := a.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	checkHBAgreement(t, shb.Build(a, shb.Config{}))
+}
+
+// checkHBAgreement queries cached against uncached happens-before from
+// several goroutines at once on a fresh graph, so the first queries of a
+// frontier race through its single-flight entry (run under -race by the
+// CI race pass).
+func checkHBAgreement(t *testing.T, g *shb.Graph) {
+	t.Helper()
+	n := len(g.Nodes)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				x, y := rng.Intn(n), rng.Intn(n)
+				if g.HappensBefore(x, y) != g.HappensBeforeNoCache(x, y) {
+					t.Errorf("cache disagrees on (%d,%d)", x, y)
+					return
+				}
+			}
+		}(11 + int64(w%2)) // pairs of goroutines issue the same queries
+	}
+	wg.Wait()
 }
 
 // Accesses recorded in the SHB trace must agree with OSA's access keys.
