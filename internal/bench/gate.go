@@ -59,11 +59,12 @@ type GateReport struct {
 	// field races.
 	GoSync *GoSyncGateStats `json:"gosync,omitempty"`
 	// AllocBudgets are the hard per-preset per-phase heap-allocation
-	// ceilings, keyed "preset/phase" (phases: pta, detect). Unlike the
-	// byte-compared counters, allocation counts jitter slightly (GC
-	// assists, timer goroutines), so -update-golden records measured×1.10
-	// plus a small noise floor (see budgetFromMeasured) and every gate run
-	// fails if a phase allocates more than its ceiling
+	// ceilings, keyed "preset/phase" (phases: allocBudgetPhases). The
+	// counts are exact (runtime.ReadMemStats at each phase boundary, GC
+	// off), but map growth and another goroutine allocating inside the
+	// window can still move them slightly, so -update-golden records
+	// measured×1.10 plus a small noise floor (see budgetFromMeasured) and
+	// every gate run fails if a phase allocates more than its ceiling
 	// — i.e. regresses by more than 10% over the recorded baseline. Times
 	// are never gated; allocations are.
 	AllocBudgets map[string]AllocBudget `json:"alloc_budgets,omitempty"`
@@ -75,10 +76,9 @@ type AllocBudget struct {
 	Bytes  int64 `json:"bytes"`
 }
 
-// allocBudgetPhases are the phases with hard allocation budgets: the two
-// hot paths the detector optimizes for. OSA/SHB gauges are still emitted
-// in the artifact for trend tracking but not gated.
-var allocBudgetPhases = []string{"pta", "detect"}
+// allocBudgetPhases are the phases with hard allocation budgets: every
+// analysis phase the pipeline measures (see RunPTAObs and RunDetect).
+var allocBudgetPhases = []string{"pta", "osa", "shb", "detect"}
 
 // measuredAllocs extracts the per-preset per-phase heap-allocation gauges
 // from the report, keyed like AllocBudgets.
@@ -167,12 +167,12 @@ func RunGate(o Opts) (*GateReport, error) {
 		run := o
 		run.Workers = 1
 		run.Obs = obs.New()
-		// Park the collector for the measured pipeline: the heap-alloc
-		// gauges otherwise jitter ±25% with GC pacer timing (a collection
-		// landing mid-phase perturbs growth reallocation counts), far too
-		// noisy for the 10% budget gate. With GC off they repeat to ±0.5%.
-		// Each preset's pipeline peaks at a few MB, so running it
-		// uncollected is safe.
+		// Park the collector for the measured pipeline: a collection
+		// landing mid-phase runs finalizers and clears pools, which moves
+		// the phase's allocation count. With GC off the phase-boundary
+		// ReadMemStats readings give each phase's exact count. Each
+		// preset's pipeline peaks at a few MB, so running it uncollected
+		// is safe.
 		runtime.GC()
 		oldGC := debug.SetGCPercent(-1)
 		pl := RunPipeline(p, POPA, run)

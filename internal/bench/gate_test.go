@@ -5,8 +5,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"o2/internal/ir"
+	"o2/internal/obs"
+	"o2/internal/osa"
+	"o2/internal/workload"
 )
 
 // TestGateMatchesCheckedInGolden runs the gate workloads once and checks
@@ -131,6 +138,44 @@ func TestAllocBudgets(t *testing.T) {
 	// skipped rather than failed — CompareGolden catches schema drift.
 	if err := checkAllocBudgets(nil, budgets); err != nil {
 		t.Fatalf("unmeasured budget key must not fail: %v", err)
+	}
+}
+
+// TestGateAllocCountExact pins the gate's allocation reading to
+// testing.AllocsPerRun: the osa phase count that RunDetect records from
+// its phase-boundary heap counters equals the exact count of the same
+// call. Registries keep state (spans, gauges) that the phase allocates
+// into, so every measured call gets its own registry in the state the
+// gate's has at that point: fresh, after one PTA run.
+func TestGateAllocCountExact(t *testing.T) {
+	p, ok := workload.ByName("memcached")
+	if !ok {
+		t.Fatal("memcached preset missing")
+	}
+	entries := ir.DefaultEntryConfig()
+	prog := workload.Build(p, entries)
+	runs := make([]PTARun, 3)
+	regs := make([]*obs.Registry, 3)
+	for i := range runs {
+		regs[i] = obs.New()
+		runs[i] = RunPTAObs(prog, POPA, entries, 0, regs[i])
+		if runs[i].TimedOut {
+			t.Fatal("pta timed out")
+		}
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	o := Opts{Workers: 1, Obs: regs[0]}
+	RunDetect(runs[0].A, o.detectOpts(), false, o.pairs())
+	got := regs[0].Snapshot().Gauges["osa.heap_allocs"]
+	// AllocsPerRun(1, f) calls f twice: a warm-up, then the counted run.
+	next := 1
+	want := testing.AllocsPerRun(1, func() {
+		osa.AnalyzeWith(runs[next].A, regs[next])
+		next++
+	})
+	if got == 0 || float64(got) != want {
+		t.Fatalf("gate counted %d osa allocations, AllocsPerRun counts %v", got, want)
 	}
 }
 
