@@ -7,7 +7,7 @@
 #   make bench-gate  deterministic pipeline stats vs checked-in golden
 #   make fuzz        short fuzz session on the minilang frontend
 #   make bench       sequential-vs-parallel detection speedup benchmark
-#   make bench-layers detect, witness and PTA benchmarks, 10 runs each
+#   make bench-layers detect, witness, PTA, OSA and SHB benchmarks, 10 runs each
 #
 # The checked-in fuzz corpus under internal/lang/testdata/fuzz is replayed
 # by the plain `go test` runs, so regressions on past findings fail `ci`.
@@ -53,6 +53,7 @@ bench:
 # Per-layer benchmarks with exact allocations, repeated so the spread of
 # each layer's time is visible (compare two runs with benchstat):
 # detection on zookeeper, witness building plus JSON on sqlite3, and the
-# pointer analysis on the Linux model.
+# pointer analysis, origin-sharing analysis and SHB construction on the
+# Linux model.
 bench-layers:
-	$(GO) test -run=NONE -bench='^(BenchmarkDetectAllocs|BenchmarkWitnesses|BenchmarkPTASolve)$$' -benchmem -count=10 .
+	$(GO) test -run=NONE -bench='^(BenchmarkDetectAllocs|BenchmarkWitnesses|BenchmarkPTASolve|BenchmarkOSA|BenchmarkSHBBuild)$$' -benchmem -count=10 .

@@ -294,6 +294,44 @@ func BenchmarkPTASolve(b *testing.B) {
 	}
 }
 
+// linuxSolved solves the §5.4 Linux kernel model once for the OSA and SHB
+// benchmarks.
+func linuxSolved(b *testing.B) *pta.Analysis {
+	b.Helper()
+	entries := ir.DefaultEntryConfig()
+	a := pta.New(workload.Build(workload.Linux(), entries), pta.Config{Policy: bench.POPA, Entries: entries, ReplicateEvents: true})
+	if err := a.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// BenchmarkOSA measures the origin-sharing analysis alone on the Linux
+// kernel model, with its exact allocation profile:
+//
+//	go test -run=NONE -bench=OSA -benchmem
+func BenchmarkOSA(b *testing.B) {
+	a := linuxSolved(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = len(osa.Analyze(a).Shared)
+	}
+}
+
+// BenchmarkSHBBuild measures static happens-before graph construction
+// alone on the Linux kernel model, with its exact allocation profile:
+//
+//	go test -run=NONE -bench=SHBBuild -benchmem
+func BenchmarkSHBBuild(b *testing.B) {
+	a := linuxSolved(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = len(shb.Build(a, shb.Config{}).Nodes)
+	}
+}
+
 // BenchmarkWitnesses measures witness building plus its JSON encoding on
 // the sqlite3 preset, the witness-bound workload (over two thousand
 // races), as o2 analyze -explain-json and the preset-analyze benchmark

@@ -16,7 +16,7 @@ package lockset
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,6 +92,7 @@ type Table struct {
 	dense   map[uint32]uint32 // lock object → dense bit index
 	locks   []uint32          // dense bit index → lock object
 	scratch []uint32          // Canon's sort/dedupe buffer, reused across calls
+	keyBuf  []byte            // Canon's index-key buffer, reused across calls
 	view    atomic.Pointer[view]
 
 	// canonCalls: standalone counter by default, rebound into the
@@ -146,6 +147,9 @@ func (t *Table) Stats() Stats {
 // allowed; order irrelevant). Safe for concurrent use, though the builder
 // calls it from one goroutine; dense bit indices are assigned in
 // first-seen order, so a deterministic build yields deterministic IDs.
+// A lockset already interned costs no allocation: the sort, dedupe and
+// index key reuse the table's buffers, and the index lookup converts the
+// key without copying it.
 func (t *Table) Canon(objs []uint32) ID {
 	t.canonCalls.Inc()
 	if len(objs) == 0 {
@@ -154,19 +158,14 @@ func (t *Table) Canon(objs []uint32) ID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := append(t.scratch[:0], objs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// dedupe in place
-	out := s[:1]
-	for _, x := range s[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
+	slices.Sort(s)
+	out := slices.Compact(s)
 	t.scratch = s[:0]
-	key := setKey(out)
-	if id, ok := t.index[key]; ok {
+	t.keyBuf = appendSetKey(t.keyBuf[:0], out)
+	if id, ok := t.index[string(t.keyBuf)]; ok {
 		return id
 	}
+	key := string(t.keyBuf)
 	var bs bitset
 	for _, obj := range out {
 		idx, ok := t.dense[obj]
@@ -230,10 +229,11 @@ func IntersectSorted(x, y []uint32) bool {
 	return false
 }
 
-func setKey(s []uint32) string {
-	buf := make([]byte, 4*len(s))
-	for i, x := range s {
-		binary.LittleEndian.PutUint32(buf[i*4:], x)
+// appendSetKey appends the index key of a sorted lockset to buf: its
+// elements as little-endian 32-bit words.
+func appendSetKey(buf []byte, s []uint32) []byte {
+	for _, x := range s {
+		buf = binary.LittleEndian.AppendUint32(buf, x)
 	}
-	return string(buf)
+	return buf
 }

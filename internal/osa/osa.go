@@ -10,6 +10,7 @@ package osa
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"o2/internal/ir"
@@ -32,25 +33,29 @@ func (k Key) String() string {
 	return fmt.Sprintf("o%d.%s", k.Obj, k.Field)
 }
 
+// LocKey rebuilds the Key of a location ID (a PTA field or static node).
+func LocKey(a *pta.Analysis, loc int32) Key {
+	obj, name, static := a.Loc(pta.NodeID(loc))
+	if static {
+		return Key{Static: name}
+	}
+	return Key{Obj: obj, Field: name}
+}
+
 // Access records one access statement discovered during the traversal.
+// Loc is the accessed location: the PTA node of the field or static.
 type Access struct {
-	Key    Key
+	Loc    int32
 	Origin pta.OriginID
 	Write  bool
 	Instr  ir.Instr
-	Fn     *ir.Func
 }
 
 // Result is the output of the analysis.
 type Result struct {
 	A *pta.Analysis
-	// Readers and Writers map each location to the set of origins reading
-	// or writing it (bitset over OriginID).
-	Readers map[Key]*pta.Bits
-	Writers map[Key]*pta.Bits
 	// Shared lists the origin-shared locations in deterministic order.
-	Shared    []Key
-	sharedSet map[Key]bool
+	Shared []Key
 	// Accesses are all recorded access statements (per contexted function
 	// per origin, deduplicated by memoization).
 	Accesses []Access
@@ -62,23 +67,60 @@ type Result struct {
 	SharedObjects int
 	// Visited counts visited ⟨function, context, origin⟩ triples.
 	Visited int
+
+	// Per-location state, indexed by location ID. dense[loc] numbers the
+	// accessed locations 1, 2, … in first-access order (0: never
+	// accessed); locs maps a number back to its location. The reader and
+	// writer origin sets of location number i+1 are bitsets of words
+	// words each, at sets[2*i*words:] and sets[(2*i+1)*words:].
+	dense  []int32
+	locs   []int32
+	words  int
+	sets   []uint64
+	shared []bool
 }
 
 // IsShared reports whether the location is origin-shared.
-func (r *Result) IsShared(k Key) bool { return r.sharedSet[k] }
+func (r *Result) IsShared(k Key) bool {
+	loc, ok := r.loc(k)
+	return ok && r.shared[loc]
+}
+
+// SharedLoc reports whether the location with this ID is origin-shared.
+func (r *Result) SharedLoc(loc int32) bool { return r.shared[loc] }
 
 // OriginsOf returns the sorted origins accessing the location.
 func (r *Result) OriginsOf(k Key) []pta.OriginID {
-	set := &pta.Bits{}
-	if b := r.Readers[k]; b != nil {
-		set.UnionWith(b)
+	out := []pta.OriginID{}
+	loc, ok := r.loc(k)
+	if !ok || r.dense[loc] == 0 {
+		return out
 	}
-	if b := r.Writers[k]; b != nil {
-		set.UnionWith(b)
+	rd, wr := r.originSets(int(r.dense[loc] - 1))
+	for w := range rd {
+		for word := rd[w] | wr[w]; word != 0; word &= word - 1 {
+			out = append(out, pta.OriginID(w*64+bits.TrailingZeros64(word)))
+		}
 	}
-	out := make([]pta.OriginID, 0, set.Len())
-	set.ForEach(func(o uint32) { out = append(out, pta.OriginID(o)) })
 	return out
+}
+
+// loc finds the location ID of a key.
+func (r *Result) loc(k Key) (int32, bool) {
+	var id pta.NodeID
+	var ok bool
+	if k.Static != "" {
+		id, ok = r.A.StaticLoc(k.Static)
+	} else {
+		id, ok = r.A.FieldLoc(k.Obj, k.Field)
+	}
+	return int32(id), ok
+}
+
+// originSets returns the reader and writer sets of location number i+1.
+func (r *Result) originSets(i int) (readers, writers []uint64) {
+	base := 2 * i * r.words
+	return r.sets[base : base+r.words], r.sets[base+r.words : base+2*r.words]
 }
 
 type visitKey struct {
@@ -99,15 +141,16 @@ func AnalyzeWith(a *pta.Analysis, reg *obs.Registry) *Result {
 // AnalyzeCtx is AnalyzeWith under a context: the traversal polls the
 // context every few hundred visited functions and aborts promptly when it
 // ends, returning the partial result and pta.ErrCanceled (or pta.ErrBudget
-// when the context deadline expired).
+// when the context deadline expired). The pointer analysis must have
+// completed: only then does every accessed location have its node.
 func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Result, error) {
 	sp := reg.StartSpan("osa")
 	defer sp.End()
 	r := &Result{
-		A:         a,
-		Readers:   map[Key]*pta.Bits{},
-		Writers:   map[Key]*pta.Bits{},
-		sharedSet: map[Key]bool{},
+		A:      a,
+		dense:  make([]int32, a.NumNodes()),
+		words:  (a.Origins.Len() + 63) / 64,
+		shared: make([]bool, a.NumNodes()),
 	}
 	latch, stopWatch := pta.WatchCancel(ctx)
 	defer stopWatch()
@@ -118,14 +161,7 @@ func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Resul
 	}
 	r.finish()
 	if reg != nil {
-		locs := map[Key]bool{}
-		for k := range r.Readers {
-			locs[k] = true
-		}
-		for k := range r.Writers {
-			locs[k] = true
-		}
-		reg.SetGauge("osa.locations", int64(len(locs)))
+		reg.SetGauge("osa.locations", int64(len(r.locs)))
 		reg.SetGauge("osa.shared_locations", int64(len(r.Shared)))
 		reg.SetGauge("osa.shared_objects", int64(r.SharedObjects))
 		reg.SetGauge("osa.shared_accesses", int64(r.SharedAccesses))
@@ -164,17 +200,17 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	for idx, in := range fc.Fn.Body {
 		switch in := in.(type) {
 		case *ir.LoadField:
-			v.access(fc, origin, in, in.Obj, in.Field, false)
+			v.access(fn, origin, in, in.Obj, in.Field, false)
 		case *ir.StoreField:
-			v.access(fc, origin, in, in.Obj, in.Field, true)
+			v.access(fn, origin, in, in.Obj, in.Field, true)
 		case *ir.LoadIndex:
-			v.access(fc, origin, in, in.Arr, ir.ArrayField, false)
+			v.access(fn, origin, in, in.Arr, ir.ArrayField, false)
 		case *ir.StoreIndex:
-			v.access(fc, origin, in, in.Arr, ir.ArrayField, true)
+			v.access(fn, origin, in, in.Arr, ir.ArrayField, true)
 		case *ir.LoadStatic:
-			v.static(fc, origin, in, in.Class.Name+"."+in.Field, false)
+			v.static(origin, in, in.Class.Name+"."+in.Field, false)
 		case *ir.StoreStatic:
-			v.static(fc, origin, in, in.Class.Name+"."+in.Field, true)
+			v.static(origin, in, in.Class.Name+"."+in.Field, true)
 		case *ir.Call:
 			for _, e := range v.a.CG.EdgesAt(fn, idx) {
 				switch e.Kind {
@@ -197,67 +233,74 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 }
 
-func (v *visitor) access(fc pta.FnCtx, origin pta.OriginID, in ir.Instr, base *ir.Var, field string, write bool) {
-	pts := v.a.PointsTo(base, fc.Ctx)
+func (v *visitor) access(fn pta.FnCtxID, origin pta.OriginID, in ir.Instr, base *ir.Var, field string, write bool) {
+	pts := v.a.PointsToIn(fn, base)
+	if pts.IsEmpty() {
+		return
+	}
+	fid, ok := v.a.FieldID(field)
+	if !ok {
+		return
+	}
 	pts.ForEach(func(o uint32) {
-		key := Key{Obj: pta.ObjID(o), Field: field}
-		v.record(key, origin, write, in, fc.Fn)
+		if loc, ok := v.a.FieldLocID(pta.ObjID(o), fid); ok {
+			v.record(int32(loc), origin, write, in)
+		}
 	})
 }
 
-func (v *visitor) static(fc pta.FnCtx, origin pta.OriginID, in ir.Instr, sig string, write bool) {
-	v.record(Key{Static: sig}, origin, write, in, fc.Fn)
+func (v *visitor) static(origin pta.OriginID, in ir.Instr, sig string, write bool) {
+	if loc, ok := v.a.StaticLoc(sig); ok {
+		v.record(int32(loc), origin, write, in)
+	}
 }
 
-func (v *visitor) record(key Key, origin pta.OriginID, write bool, in ir.Instr, fn *ir.Func) {
-	m := v.r.Readers
+func (v *visitor) record(loc int32, origin pta.OriginID, write bool, in ir.Instr) {
+	r := v.r
+	n := r.dense[loc]
+	if n == 0 {
+		r.locs = append(r.locs, loc)
+		n = int32(len(r.locs))
+		r.dense[loc] = n
+		for i := 0; i < 2*r.words; i++ {
+			r.sets = append(r.sets, 0)
+		}
+	}
+	rd, wr := r.originSets(int(n - 1))
+	set := rd
 	if write {
-		m = v.r.Writers
+		set = wr
 	}
-	b := m[key]
-	if b == nil {
-		b = &pta.Bits{}
-		m[key] = b
-	}
-	b.Add(uint32(origin))
-	v.r.Accesses = append(v.r.Accesses, Access{Key: key, Origin: origin, Write: write, Instr: in, Fn: fn})
+	set[origin>>6] |= 1 << (origin & 63)
+	r.Accesses = append(r.Accesses, Access{Loc: loc, Origin: origin, Write: write, Instr: in})
 }
 
 func (r *Result) finish() {
-	keys := map[Key]bool{}
-	for k := range r.Readers {
-		keys[k] = true
-	}
-	for k := range r.Writers {
-		keys[k] = true
-	}
-	sharedObjs := map[pta.ObjID]bool{}
-	for k := range keys {
-		w := r.Writers[k]
-		if w == nil || w.IsEmpty() {
+	for i, loc := range r.locs {
+		rd, wr := r.originSets(i)
+		writers, all := 0, 0
+		for w := range wr {
+			writers += bits.OnesCount64(wr[w])
+			all += bits.OnesCount64(rd[w] | wr[w])
+		}
+		if writers == 0 {
 			continue
 		}
-		all := &pta.Bits{}
-		if rd := r.Readers[k]; rd != nil {
-			all.UnionWith(rd)
-		}
-		all.UnionWith(w)
-		shared := all.Len() >= 2
+		shared := all >= 2
 		if !shared {
 			// A replicated origin has concurrent instances: a write from it
 			// is shared with its sibling instance.
-			w.ForEach(func(o uint32) {
-				if r.A.Origins.Get(pta.OriginID(o)).Replicated {
-					shared = true
+			for w := range wr {
+				for word := wr[w]; word != 0; word &= word - 1 {
+					if r.A.Origins.Get(pta.OriginID(w*64 + bits.TrailingZeros64(word))).Replicated {
+						shared = true
+					}
 				}
-			})
+			}
 		}
 		if shared {
-			r.sharedSet[k] = true
-			r.Shared = append(r.Shared, k)
-			if k.Static == "" {
-				sharedObjs[k.Obj] = true
-			}
+			r.shared[loc] = true
+			r.Shared = append(r.Shared, LocKey(r.A, loc))
 		}
 	}
 	sort.Slice(r.Shared, func(i, j int) bool {
@@ -270,12 +313,18 @@ func (r *Result) finish() {
 		}
 		return a.Static < b.Static
 	})
-	r.SharedObjects = len(sharedObjs)
+	// Statics carry object 0, so the sorted list groups each object's
+	// shared fields after them.
+	for i, k := range r.Shared {
+		if k.Static == "" && (i == 0 || r.Shared[i-1].Obj != k.Obj) {
+			r.SharedObjects++
+		}
+	}
 	// Count distinct access statements touching a shared location (one
 	// statement may be visited under several origins or contexts).
 	sharedInstrs := map[ir.Instr]bool{}
 	for _, acc := range r.Accesses {
-		if r.sharedSet[acc.Key] {
+		if r.shared[acc.Loc] {
 			sharedInstrs[acc.Instr] = true
 		}
 	}

@@ -2,6 +2,7 @@ package pta
 
 import (
 	"fmt"
+	"slices"
 
 	"o2/internal/ir"
 )
@@ -55,8 +56,9 @@ type Edge struct {
 type CallGraph struct {
 	nodes []FnCtx
 	index map[fnCtxKey]FnCtxID
-	// out maps a caller node to its outgoing edges, grouped by InstrIdx at
-	// query time.
+	// out maps a caller node to its outgoing edges. Once the solve ends
+	// each list is ordered by InstrIdx (sortEdges), keeping discovery
+	// order among the edges of one instruction.
 	out [][]Edge
 	// edgeSet dedups edges.
 	edgeSet map[Edge]struct{}
@@ -67,8 +69,9 @@ func newCallGraph() *CallGraph {
 	return &CallGraph{index: map[fnCtxKey]FnCtxID{}, edgeSet: map[Edge]struct{}{}}
 }
 
-// Node interns ⟨fn, ctx⟩ and returns its ID.
-func (g *CallGraph) Node(fn *ir.Func, ctx CtxID) FnCtxID {
+// node interns ⟨fn, ctx⟩ and returns its ID. Only the solver creates
+// nodes: it reserves each new node's variable slots.
+func (g *CallGraph) node(fn *ir.Func, ctx CtxID) FnCtxID {
 	k := fnCtxKey{fn, ctx}
 	if id, ok := g.index[k]; ok {
 		return id
@@ -102,18 +105,39 @@ func (g *CallGraph) addEdge(e Edge) bool {
 	return true
 }
 
-// Out returns all outgoing edges of node (every instruction).
+// Out returns all outgoing edges of node (every instruction), ordered by
+// instruction index once the solve has ended.
 func (g *CallGraph) Out(node FnCtxID) []Edge { return g.out[node] }
 
-// EdgesAt returns the edges leaving the instruction at index idx of node.
+// sortEdges orders every node's edges by instruction index. The sort is
+// stable, so the edges of one instruction keep the order in which the
+// solver found them; slices.SortStableFunc, unlike sort.SliceStable,
+// does not allocate.
+func (g *CallGraph) sortEdges() {
+	for _, es := range g.out {
+		slices.SortStableFunc(es, func(x, y Edge) int { return x.InstrIdx - y.InstrIdx })
+	}
+}
+
+// EdgesAt returns the edges leaving the instruction at index idx of node,
+// in discovery order. It is a subslice of the node's edge list, valid
+// after the solve has ended; callers must not modify it.
 func (g *CallGraph) EdgesAt(node FnCtxID, idx int) []Edge {
-	var out []Edge
-	for _, e := range g.out[node] {
-		if e.InstrIdx == idx {
-			out = append(out, e)
+	es := g.out[node]
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].InstrIdx < idx {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return out
+	end := lo
+	for end < len(es) && es[end].InstrIdx == idx {
+		end++
+	}
+	return es[lo:end:end]
 }
 
 func (g *CallGraph) String() string {

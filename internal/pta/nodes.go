@@ -76,26 +76,22 @@ type objKey struct {
 	ctx  CtxID
 }
 
-type varKey struct {
-	v   *ir.Var
-	ctx CtxID
-}
+// fieldKey packs an object-field node's key, ⟨obj⟩.field with the field
+// name interned, into one integer: uint64(obj)<<32 | fieldID.
+func fieldKey(obj ObjID, fid int32) uint64 { return uint64(obj)<<32 | uint64(uint32(fid)) }
 
-type fieldKey struct {
-	obj   ObjID
-	field string
-}
-
-// heap interns abstract objects and PAG nodes.
+// heap interns abstract objects, field names and the PAG's field and
+// static nodes. Variable nodes live in the Analysis's per-context slots.
 type heap struct {
-	objs      []ObjInfo // ObjID -> info; index 0 unused
-	objIdx    map[objKey]ObjID
-	funcIdx   map[*ir.Func]ObjID
-	handleIdx map[objKey]ObjID
-	varIdx    map[varKey]NodeID
-	fldIdx    map[fieldKey]NodeID
-	statIdx   map[string]NodeID
-	nodes     []nodeInfo // NodeID -> info
+	objs       []ObjInfo // ObjID -> info; index 0 unused
+	objIdx     map[objKey]ObjID
+	funcIdx    map[*ir.Func]ObjID
+	handleIdx  map[objKey]ObjID
+	fieldIDs   map[string]int32  // field name -> field ID
+	fieldNames []string          // field ID -> field name
+	fldIdx     map[uint64]NodeID // fieldKey(obj, fid) -> node
+	statIdx    map[string]NodeID
+	nodes      []nodeInfo // NodeID -> info
 }
 
 type nodeKind uint8
@@ -120,10 +116,21 @@ func newHeap() *heap {
 		objIdx:    map[objKey]ObjID{},
 		funcIdx:   map[*ir.Func]ObjID{},
 		handleIdx: map[objKey]ObjID{},
-		varIdx:    map[varKey]NodeID{},
-		fldIdx:    map[fieldKey]NodeID{},
+		fieldIDs:  map[string]int32{},
+		fldIdx:    map[uint64]NodeID{},
 		statIdx:   map[string]NodeID{},
 	}
+}
+
+// fieldID interns a field name.
+func (h *heap) fieldID(name string) int32 {
+	if id, ok := h.fieldIDs[name]; ok {
+		return id
+	}
+	id := int32(len(h.fieldNames))
+	h.fieldIDs[name] = id
+	h.fieldNames = append(h.fieldNames, name)
+	return id
 }
 
 // internObj returns the ObjID for ⟨site, ctx⟩, creating it if new. The
@@ -182,22 +189,12 @@ func (h *heap) obj(id ObjID) *ObjInfo { return &h.objs[id] }
 // NumObjs returns the number of abstract objects created.
 func (h *heap) NumObjs() int { return len(h.objs) - 1 }
 
-func (h *heap) varNode(v *ir.Var, ctx CtxID) NodeID {
-	k := varKey{v, ctx}
-	if id, ok := h.varIdx[k]; ok {
-		return id
-	}
-	id := h.newNode(nodeInfo{kind: nodeVar, v: v, ctx: ctx})
-	h.varIdx[k] = id
-	return id
-}
-
-func (h *heap) fieldNode(obj ObjID, field string) NodeID {
-	k := fieldKey{obj, field}
+func (h *heap) fieldNode(obj ObjID, fid int32) NodeID {
+	k := fieldKey(obj, fid)
 	if id, ok := h.fldIdx[k]; ok {
 		return id
 	}
-	id := h.newNode(nodeInfo{kind: nodeField, obj: obj, field: field})
+	id := h.newNode(nodeInfo{kind: nodeField, obj: obj, field: h.fieldNames[fid]})
 	h.fldIdx[k] = id
 	return id
 }

@@ -70,7 +70,22 @@ var emptyBits Bits
 // returned set must not be modified. Returns an empty set if the node does
 // not exist.
 func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
-	if id, ok := a.heap.varIdx[varKey{v, ctx}]; ok {
+	if v == nil {
+		return &emptyBits
+	}
+	f, ok := a.CG.Lookup(v.Func, ctx)
+	if !ok {
+		return &emptyBits
+	}
+	return a.PointsToIn(f, v)
+}
+
+// PointsToIn returns the points-to set of variable v in call-graph node f,
+// whose function must own v: PointsTo for a caller that already holds the
+// node, at the cost of one slice read. The returned set must not be
+// modified. Returns an empty set if the variable's node does not exist.
+func (a *Analysis) PointsToIn(f FnCtxID, v *ir.Var) *Bits {
+	if id := a.varSlots[int(a.varBase[f])+v.ID]; id != noNode {
 		return &a.pts[id]
 	}
 	return &emptyBits
@@ -78,10 +93,56 @@ func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
 
 // FieldPointsTo returns the points-to set of ⟨obj⟩.field.
 func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
-	if id, ok := a.heap.fldIdx[fieldKey{obj, field}]; ok {
+	if id, ok := a.FieldLoc(obj, field); ok {
 		return &a.pts[id]
 	}
 	return &emptyBits
+}
+
+// A memory location — an object field ⟨obj⟩.field or a static field — is
+// identified by its PAG node, so downstream phases can index per-location
+// state by NodeID instead of hashing composite keys. Every location an
+// access can touch exists once the solve has completed: a load or store
+// constraint creates ⟨o⟩.f for every o its base may point to.
+
+// NumNodes returns the number of PAG nodes: an upper bound on location
+// IDs, for sizing slices indexed by location.
+func (a *Analysis) NumNodes() int { return a.heap.NumNodes() }
+
+// FieldID returns the interned ID of a field name, or false if no load or
+// store constraint names the field.
+func (a *Analysis) FieldID(field string) (int32, bool) {
+	id, ok := a.heap.fieldIDs[field]
+	return id, ok
+}
+
+// FieldLocID returns the location of ⟨obj⟩.field for an interned field ID.
+func (a *Analysis) FieldLocID(obj ObjID, fid int32) (NodeID, bool) {
+	id, ok := a.heap.fldIdx[fieldKey(obj, fid)]
+	return id, ok
+}
+
+// FieldLoc returns the location of ⟨obj⟩.field.
+func (a *Analysis) FieldLoc(obj ObjID, field string) (NodeID, bool) {
+	fid, ok := a.FieldID(field)
+	if !ok {
+		return 0, false
+	}
+	return a.FieldLocID(obj, fid)
+}
+
+// StaticLoc returns the location of the static field with signature
+// "Class.field".
+func (a *Analysis) StaticLoc(sig string) (NodeID, bool) {
+	id, ok := a.heap.statIdx[sig]
+	return id, ok
+}
+
+// Loc describes a location: the object and field name of an object field,
+// or (static true) the signature of a static field in field.
+func (a *Analysis) Loc(id NodeID) (obj ObjID, field string, static bool) {
+	n := &a.heap.nodes[id]
+	return n.obj, n.field, n.kind == nodeStatic
 }
 
 // StaticPointsTo returns the points-to set of static field "Class.field".
@@ -197,8 +258,9 @@ func (a *Analysis) MainNode() FnCtxID {
 // ForEachFieldNode invokes fn for every object-field node in the PAG with
 // its points-to set, in unspecified order.
 func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits)) {
-	for k, id := range a.heap.fldIdx {
-		fn(k.obj, k.field, &a.pts[id])
+	for _, id := range a.heap.fldIdx {
+		n := &a.heap.nodes[id]
+		fn(n.obj, n.field, &a.pts[id])
 	}
 }
 

@@ -64,14 +64,16 @@ const (
 	twinTag    = uint64(1) << 62
 )
 
+// loadC and storeC carry the interned field ID (see heap.fieldID), so
+// resolving a constraint per new object hashes one integer.
 type loadC struct {
 	dst   NodeID
-	field string
+	field int32
 }
 
 type storeC struct {
 	src   NodeID
-	field string
+	field int32
 }
 
 type callC struct {
@@ -102,10 +104,14 @@ type Analysis struct {
 	stores map[NodeID][]storeC
 	calls  map[NodeID][]callC
 
-	processed []bool // per FnCtxID: body constraints generated
-	fnWL      []FnCtxID
-	wl        []NodeID
-	inWL      []bool
+	// varSlots holds every contexted variable's node: variable v of
+	// call-graph node f is varSlots[varBase[f]+v.ID], noNode until first
+	// referenced. markReachable reserves len(Fn.Locals) slots per node.
+	varSlots []NodeID
+	varBase  []int32 // per FnCtxID
+	fnWL     []FnCtxID
+	wl       []NodeID
+	inWL     []bool
 
 	// hasOriginAlloc marks functions that directly contain an origin
 	// allocation; under the KOrigin policy such functions are analyzed with
@@ -180,6 +186,9 @@ func (a *Analysis) SolveCtx(ctx context.Context) error {
 	if a.Prog.Main == nil {
 		return fmt.Errorf("pta: program has no main")
 	}
+	// Order each node's call-graph edges by instruction once the graph
+	// stops growing, so EdgesAt can return a subslice.
+	defer a.CG.sortEdges()
 	a.markReachable(a.Prog.Main, EmptyCtx)
 	for a.err == nil {
 		if n := len(a.fnWL); n > 0 {
@@ -260,14 +269,27 @@ func (a *Analysis) ensureNode(id NodeID) {
 	}
 }
 
-func (a *Analysis) varNode(v *ir.Var, ctx CtxID) NodeID {
-	id := a.heap.varNode(v, ctx)
-	a.ensureNode(id)
-	return id
+// noNode marks a variable slot whose node does not exist yet.
+const noNode = ^NodeID(0)
+
+// varNode returns the node of variable v of call-graph node f, creating
+// it on the first reference. v must be a variable of f's function: its ID
+// indexes f's slot block.
+func (a *Analysis) varNode(f FnCtxID, v *ir.Var) NodeID {
+	slot := &a.varSlots[int(a.varBase[f])+v.ID]
+	if *slot == noNode {
+		fc := a.CG.Get(f)
+		if v.Func != fc.Fn {
+			panic(fmt.Sprintf("pta: variable %s used in %s", v, fc.Fn))
+		}
+		*slot = a.heap.newNode(nodeInfo{kind: nodeVar, v: v, ctx: fc.Ctx})
+		a.ensureNode(*slot)
+	}
+	return *slot
 }
 
-func (a *Analysis) fieldNode(obj ObjID, field string) NodeID {
-	id := a.heap.fieldNode(obj, field)
+func (a *Analysis) fieldNode(obj ObjID, fid int32) NodeID {
+	id := a.heap.fieldNode(obj, fid)
 	a.ensureNode(id)
 	return id
 }
@@ -444,12 +466,14 @@ func (a *Analysis) originCtx(allocCtx CtxID, site int) CtxID {
 // ---- constraint generation ----
 
 func (a *Analysis) markReachable(fn *ir.Func, ctx CtxID) FnCtxID {
-	id := a.CG.Node(fn, ctx)
-	for int(id) >= len(a.processed) {
-		a.processed = append(a.processed, false)
-	}
-	if !a.processed[id] {
-		a.processed[id] = true
+	id := a.CG.node(fn, ctx)
+	if int(id) == len(a.varBase) {
+		// A new call-graph node: reserve its variable slots and queue its
+		// body for constraint generation.
+		a.varBase = append(a.varBase, int32(len(a.varSlots)))
+		for range fn.Locals {
+			a.varSlots = append(a.varSlots, noNode)
+		}
 		a.fnWL = append(a.fnWL, id)
 	}
 	return id
@@ -466,63 +490,69 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 		case *ir.Alloc:
 			a.genAlloc(id, fn, ctx, in, idx)
 		case *ir.Copy:
-			a.addEdge(a.varNode(in.Src, ctx), a.varNode(in.Dst, ctx))
+			a.addEdge(a.varNode(id, in.Src), a.varNode(id, in.Dst))
 		case *ir.LoadField:
-			base := a.varNode(in.Obj, ctx)
-			dst := a.varNode(in.Dst, ctx)
-			a.loads[base] = append(a.loads[base], loadC{dst, in.Field})
+			base := a.varNode(id, in.Obj)
+			dst := a.varNode(id, in.Dst)
+			fid := a.heap.fieldID(in.Field)
+			a.loads[base] = append(a.loads[base], loadC{dst, fid})
 			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, in.Field), dst) })
+			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
 		case *ir.StoreField:
-			base := a.varNode(in.Obj, ctx)
-			src := a.varNode(in.Src, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, in.Field})
+			base := a.varNode(id, in.Obj)
+			src := a.varNode(id, in.Src)
+			fid := a.heap.fieldID(in.Field)
+			a.stores[base] = append(a.stores[base], storeC{src, fid})
 			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, in.Field)) })
+			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
 		case *ir.LoadIndex:
-			base := a.varNode(in.Arr, ctx)
-			dst := a.varNode(in.Dst, ctx)
-			a.loads[base] = append(a.loads[base], loadC{dst, ir.ArrayField})
+			base := a.varNode(id, in.Arr)
+			dst := a.varNode(id, in.Dst)
+			fid := a.heap.fieldID(ir.ArrayField)
+			a.loads[base] = append(a.loads[base], loadC{dst, fid})
 			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, ir.ArrayField), dst) })
+			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
 		case *ir.StoreIndex:
-			base := a.varNode(in.Arr, ctx)
-			src := a.varNode(in.Src, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, ir.ArrayField})
+			base := a.varNode(id, in.Arr)
+			src := a.varNode(id, in.Src)
+			fid := a.heap.fieldID(ir.ArrayField)
+			a.stores[base] = append(a.stores[base], storeC{src, fid})
 			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, ir.ArrayField)) })
+			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
 		case *ir.LoadStatic:
-			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(in.Dst, ctx))
+			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(id, in.Dst))
 		case *ir.StoreStatic:
-			a.addEdge(a.varNode(in.Src, ctx), a.staticNode(in.Class, in.Field))
+			a.addEdge(a.varNode(id, in.Src), a.staticNode(in.Class, in.Field))
 		case *ir.FuncAddr:
-			a.addObj(a.varNode(in.Dst, ctx), a.heap.internFuncObj(in.Target, in.Pos()))
+			a.addObj(a.varNode(id, in.Dst), a.heap.internFuncObj(in.Target, in.Pos()))
 		case *ir.ChanMake:
 			obj, _ := a.heap.internChanObj(in, a.heapCtx(ctx))
-			a.addObj(a.varNode(in.Dst, ctx), obj)
+			a.addObj(a.varNode(id, in.Dst), obj)
 		case *ir.ChanSend:
 			// Value flow through the channel: send stores into the channel
 			// object's synthetic "$elem" slot, recv loads from it, so a
 			// pointer sent over a channel reaches every receiver that may
 			// share the channel (Fava/Steffen's communication semantics,
 			// flow-insensitively).
-			base := a.varNode(in.Ch, ctx)
-			src := a.varNode(in.Val, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, ChanElemField})
+			base := a.varNode(id, in.Ch)
+			src := a.varNode(id, in.Val)
+			fid := a.heap.fieldID(ChanElemField)
+			a.stores[base] = append(a.stores[base], storeC{src, fid})
 			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, ChanElemField)) })
+			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
 		case *ir.ChanRecv:
 			if in.Dst != nil {
-				base := a.varNode(in.Ch, ctx)
-				dst := a.varNode(in.Dst, ctx)
-				a.loads[base] = append(a.loads[base], loadC{dst, ChanElemField})
+				base := a.varNode(id, in.Ch)
+				dst := a.varNode(id, in.Dst)
+				fid := a.heap.fieldID(ChanElemField)
+				a.loads[base] = append(a.loads[base], loadC{dst, fid})
 				a.constraints++
-				a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, ChanElemField), dst) })
+				a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
 			}
 		case *ir.Call:
 			if in.Static != nil && in.Recv == nil {
 				calleeCtx := a.calleeCtx(ctx, in.Site, 0, in.Static)
-				a.bindCall(id, ctx, in, idx, in.Static, calleeCtx, 0, EdgeCall)
+				a.bindCall(id, in, idx, in.Static, calleeCtx, 0, EdgeCall)
 				continue
 			}
 			// The points-to set of the dispatch variable drives binding:
@@ -542,7 +572,7 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			default:
 				driver = in.Recv
 			}
-			recv := a.varNode(driver, ctx)
+			recv := a.varNode(id, driver)
 			cc := callC{caller: id, instr: in, idx: idx}
 			a.calls[recv] = append(a.calls[recv], cc)
 			a.constraints++
@@ -591,7 +621,7 @@ func (a *Analysis) genAlloc(caller FnCtxID, fn *ir.Func, ctx CtxID, al *ir.Alloc
 
 	for _, hctx := range hctxs {
 		obj, isNew := a.heap.internObj(al, hctx)
-		a.addObj(a.varNode(al.Dst, ctx), obj)
+		a.addObj(a.varNode(caller, al.Dst), obj)
 
 		if isOrigin && isNew {
 			kind := KindThread
@@ -627,10 +657,10 @@ func (a *Analysis) genAlloc(caller FnCtxID, fn *ir.Func, ctx CtxID, al *ir.Alloc
 				}
 			}
 			callee := a.markReachable(init, initCtx)
-			a.addObj(a.varNode(init.Params[0], initCtx), obj)
+			a.addObj(a.varNode(callee, init.Params[0]), obj)
 			for i, arg := range al.Args {
 				if i+1 < len(init.Params) {
-					a.addEdge(a.varNode(arg, ctx), a.varNode(init.Params[i+1], initCtx))
+					a.addEdge(a.varNode(caller, arg), a.varNode(callee, init.Params[i+1]))
 				}
 			}
 			kind := EdgeCall
@@ -682,7 +712,7 @@ func (a *Analysis) resolveCall(cc callC, recv ObjID) {
 		}
 		target := info.Fn
 		calleeCtx := a.calleeCtx(callerCtx, in.Site, 0, target)
-		a.bindCall(cc.caller, callerCtx, in, cc.idx, target, calleeCtx, 0, EdgeCall)
+		a.bindCall(cc.caller, in, cc.idx, target, calleeCtx, 0, EdgeCall)
 		return
 	}
 
@@ -728,7 +758,7 @@ func (a *Analysis) resolveCall(cc callC, recv ObjID) {
 	}
 
 	calleeCtx := a.calleeCtx(callerCtx, in.Site, recv, target)
-	a.bindCall(cc.caller, callerCtx, in, cc.idx, target, calleeCtx, recv, EdgeCall)
+	a.bindCall(cc.caller, in, cc.idx, target, calleeCtx, recv, EdgeCall)
 }
 
 // spawn handles an origin-entry invocation (rule ⑨ of Table 2): thread
@@ -754,14 +784,14 @@ func (a *Analysis) spawn(cc callC, recv ObjID, oid OriginID, entry *ir.Func, cal
 		}
 	}
 	callee := a.markReachable(entry, calleeCtx)
-	a.addObj(a.varNode(entry.Params[0], calleeCtx), recv)
+	a.addObj(a.varNode(callee, entry.Params[0]), recv)
 	for i, arg := range cc.instr.Args {
 		if i+1 < len(entry.Params) {
-			a.addEdge(a.varNode(arg, callerCtx), a.varNode(entry.Params[i+1], calleeCtx))
+			a.addEdge(a.varNode(cc.caller, arg), a.varNode(callee, entry.Params[i+1]))
 		}
 	}
 	if cc.instr.Dst != nil && entry.Ret != nil {
-		a.addEdge(a.varNode(entry.Ret, calleeCtx), a.varNode(cc.instr.Dst, callerCtx))
+		a.addEdge(a.varNode(callee, entry.Ret), a.varNode(cc.caller, cc.instr.Dst))
 	}
 	a.CG.addEdge(Edge{Kind: EdgeSpawn, Caller: cc.caller, InstrIdx: cc.idx, Callee: callee, Origin: oid})
 }
@@ -818,32 +848,32 @@ func (a *Analysis) spawnPthread(cc callC, entry *ir.Func, kind OriginKind, calle
 		// Bind the start argument to the entry's first parameter: the
 		// origin attribute.
 		if len(in.Args) > 1 && len(entry.Params) > 0 {
-			a.addEdge(a.varNode(in.Args[1], callerCtx), a.varNode(entry.Params[0], calleeCtx))
+			a.addEdge(a.varNode(cc.caller, in.Args[1]), a.varNode(callee, entry.Params[0]))
 		}
 		if in.Dst != nil {
-			a.addObj(a.varNode(in.Dst, callerCtx), handle)
+			a.addObj(a.varNode(cc.caller, in.Dst), handle)
 		}
 		a.CG.addEdge(Edge{Kind: EdgeSpawn, Caller: cc.caller, InstrIdx: cc.idx, Callee: callee, Origin: oid})
 	}
 }
 
-func (a *Analysis) bindCall(caller FnCtxID, callerCtx CtxID, in *ir.Call, idx int, target *ir.Func, calleeCtx CtxID, recv ObjID, kind EdgeKind) {
+func (a *Analysis) bindCall(caller FnCtxID, in *ir.Call, idx int, target *ir.Func, calleeCtx CtxID, recv ObjID, kind EdgeKind) {
 	callee := a.markReachable(target, calleeCtx)
 	params := target.Params
 	args := in.Args
 	if recv != 0 && len(params) > 0 {
-		a.addObj(a.varNode(params[0], calleeCtx), recv)
+		a.addObj(a.varNode(callee, params[0]), recv)
 		params = params[1:]
 	} else if in.Recv == nil && target.Class != nil && len(params) > 0 {
 		params = params[1:] // static call to a method: no receiver bound
 	}
 	for i, arg := range args {
 		if i < len(params) {
-			a.addEdge(a.varNode(arg, callerCtx), a.varNode(params[i], calleeCtx))
+			a.addEdge(a.varNode(caller, arg), a.varNode(callee, params[i]))
 		}
 	}
 	if in.Dst != nil && target.Ret != nil {
-		a.addEdge(a.varNode(target.Ret, calleeCtx), a.varNode(in.Dst, callerCtx))
+		a.addEdge(a.varNode(callee, target.Ret), a.varNode(caller, in.Dst))
 	}
 	a.CG.addEdge(Edge{Kind: kind, Caller: caller, InstrIdx: idx, Callee: callee})
 }

@@ -568,8 +568,8 @@ type mergeKey struct {
 
 // grouped is the candidate groups in a flat arena: group i's accesses are
 // accs[off[i]:off[i+1]], node-ID ascending, with keys sorted by keyLess.
-// Compared to the previous map[osa.Key][]acc it is built with a constant
-// number of allocations (two maps, five slices) instead of one map entry
+// Compared to a map[osa.Key][]acc it is built with a near-constant number
+// of allocations (one map, a handful of slices) instead of one map entry
 // plus slice growth per location — collect dominated the detect phase's
 // allocation profile (~87% of allocs/op on the zookeeper preset).
 type grouped struct {
@@ -584,13 +584,17 @@ func (gr *grouped) group(i int) []acc { return gr.accs[gr.off[i]:gr.off[i+1]:gr.
 // lock-region merging. Volatile locations are synchronization, not data
 // (§4.3 extension: atomics), and are never candidates.
 //
-// Locations are interned into dense group indices in first-seen (node-ID)
-// order; a second pass scatters the surviving accesses into the flat
-// arena in sorted-key group order, preserving node order within each
-// group — exactly the iteration order the previous map-of-slices
-// representation gave the detectors.
+// Locations are numbered into dense group indices in first-seen (node-ID)
+// order through a slice indexed by location ID, which also caches each
+// location's volatility; a second pass scatters the surviving accesses
+// into the flat arena in sorted-key group order, preserving node order
+// within each group — exactly the iteration order the previous
+// map-of-slices representation gave the detectors.
 func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
-	idx := map[osa.Key]int32{} // location → dense group index, first-seen order
+	// grp[loc] is the location's group index plus one, volatileLoc for a
+	// volatile location, 0 until the location is first seen.
+	const volatileLoc = -1
+	grp := make([]int32, a.NumNodes())
 	var keys []osa.Key
 	type tmpAcc struct {
 		grp int32
@@ -612,22 +616,28 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 		if n.Kind != shb.NRead && n.Kind != shb.NWrite {
 			continue
 		}
-		if opt.OSAFilter && !sharing.IsShared(n.Key) {
+		if opt.OSAFilter && !sharing.SharedLoc(n.Loc) {
 			rep.FilteredOSA++
 			continue
 		}
-		if isVolatile(a, n.Key) {
+		gi := grp[n.Loc]
+		if gi == 0 {
+			k := osa.LocKey(a, n.Loc)
+			if isVolatile(a, k) {
+				gi = volatileLoc
+			} else {
+				keys = append(keys, k)
+				gi = int32(len(keys))
+			}
+			grp[n.Loc] = gi
+		}
+		if gi == volatileLoc {
 			rep.FilteredVolatile++
 			continue
 		}
+		gi--
 		rep.AccessNodes++
 		w := n.Kind == shb.NWrite
-		gi, ok := idx[n.Key]
-		if !ok {
-			gi = int32(len(keys))
-			idx[n.Key] = gi
-			keys = append(keys, n.Key)
-		}
 		if opt.RegionMerge && n.Region != 0 {
 			mk := mergeKey{gi, n.Seg, w, n.Locks, n.Region}
 			if merged[mk] {

@@ -60,13 +60,37 @@ type SegID int32
 // Node is one SHB node. Its ID is its index in Graph.Nodes; IDs within a
 // segment are strictly increasing in trace order.
 type Node struct {
-	Kind   NodeKind
-	Seg    SegID
-	Key    osa.Key // memory location for NRead/NWrite; lock object for NLock/NUnlock
+	Kind NodeKind
+	Seg  SegID
+	// Loc is the accessed location of an NRead/NWrite node (its PTA field
+	// or static node, as in osa.Access) and -1 on every other node.
+	Loc int32
+	// Obj is the accessed object of an NRead/NWrite node (0 for a static),
+	// and the synchronization object of a wait, notify, WaitGroup or
+	// channel node.
+	Obj    pta.ObjID
 	Locks  lockset.ID
 	Region int32 // innermost lock-region instance (0 = outside any region)
 	Instr  ir.Instr
 	Fn     *ir.Func
+}
+
+// Key returns the osa.Key of node id: the accessed location of a read or
+// write; ⟨obj⟩ with the pseudo-field "$monitor", "$wg" or "$chan" for a
+// synchronization node; the zero Key otherwise.
+func (g *Graph) Key(id int) osa.Key {
+	n := &g.Nodes[id]
+	switch n.Kind {
+	case NRead, NWrite:
+		return osa.LocKey(g.a, n.Loc)
+	case NWait, NNotify:
+		return osa.Key{Obj: n.Obj, Field: "$monitor"}
+	case NWgAdd, NWgDone, NWgWait:
+		return osa.Key{Obj: n.Obj, Field: "$wg"}
+	case NChanSend, NChanRecv, NChanClose:
+		return osa.Key{Obj: n.Obj, Field: "$chan"}
+	}
+	return osa.Key{}
 }
 
 // Segment is the trace of one origin instance.
@@ -221,9 +245,9 @@ func (g *Graph) connectCondVars() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NWait:
-			waits[n.Key.Obj] = append(waits[n.Key.Obj], id)
+			waits[n.Obj] = append(waits[n.Obj], id)
 		case NNotify:
-			notifies[n.Key.Obj] = append(notifies[n.Key.Obj], id)
+			notifies[n.Obj] = append(notifies[n.Obj], id)
 		}
 	}
 	for obj, ns := range notifies {
@@ -263,11 +287,11 @@ func (g *Graph) connectChannels() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NChanSend:
-			sends[n.Key.Obj] = append(sends[n.Key.Obj], id)
+			sends[n.Obj] = append(sends[n.Obj], id)
 		case NChanRecv:
-			recvs[n.Key.Obj] = append(recvs[n.Key.Obj], id)
+			recvs[n.Obj] = append(recvs[n.Obj], id)
 		case NChanClose:
-			closes[n.Key.Obj] = append(closes[n.Key.Obj], id)
+			closes[n.Obj] = append(closes[n.Obj], id)
 		}
 	}
 	for obj, ss := range sends {
@@ -306,9 +330,9 @@ func (g *Graph) connectWaitGroups() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NWgDone:
-			dones[n.Key.Obj] = append(dones[n.Key.Obj], id)
+			dones[n.Obj] = append(dones[n.Obj], id)
 		case NWgWait:
-			waits[n.Key.Obj] = append(waits[n.Key.Obj], id)
+			waits[n.Obj] = append(waits[n.Obj], id)
 		}
 	}
 	for obj, ds := range dones {
@@ -514,11 +538,11 @@ func (b *builder) currentLockset() (lockset.ID, int32) {
 	return b.g.Locksets.Canon(objs), b.lockStack[len(b.lockStack)-1].region
 }
 
-func (b *builder) node(kind NodeKind, key osa.Key, in ir.Instr, fn *ir.Func) int {
+func (b *builder) node(kind NodeKind, loc int32, obj pta.ObjID, in ir.Instr, fn *ir.Func) int {
 	ls, region := b.currentLockset()
 	id := len(b.g.Nodes)
 	b.g.Nodes = append(b.g.Nodes, Node{
-		Kind: kind, Seg: b.cur.ID, Key: key, Locks: ls, Region: region, Instr: in, Fn: fn,
+		Kind: kind, Seg: b.cur.ID, Loc: loc, Obj: obj, Locks: ls, Region: region, Instr: in, Fn: fn,
 	})
 	return id
 }
@@ -549,30 +573,29 @@ func (b *builder) walk(fn pta.FnCtxID) {
 	b.walked[fn] = b.syncClock
 	defer delete(b.onStack, fn)
 	fc := b.a.CG.Get(fn)
-	ctx := fc.Ctx
 	for idx, in := range fc.Fn.Body {
 		if b.full() {
 			return
 		}
 		switch in := in.(type) {
 		case *ir.LoadField:
-			b.accesses(NRead, fc, in, in.Obj, in.Field)
+			b.accesses(NRead, fn, fc, in, in.Obj, in.Field)
 		case *ir.StoreField:
-			b.accesses(NWrite, fc, in, in.Obj, in.Field)
+			b.accesses(NWrite, fn, fc, in, in.Obj, in.Field)
 		case *ir.LoadIndex:
-			b.accesses(NRead, fc, in, in.Arr, ir.ArrayField)
+			b.accesses(NRead, fn, fc, in, in.Arr, ir.ArrayField)
 		case *ir.StoreIndex:
-			b.accesses(NWrite, fc, in, in.Arr, ir.ArrayField)
+			b.accesses(NWrite, fn, fc, in, in.Arr, ir.ArrayField)
 		case *ir.LoadStatic:
-			b.node(NRead, osa.Key{Static: in.Class.Name + "." + in.Field}, in, fc.Fn)
+			b.static(NRead, fc, in, in.Class.Name+"."+in.Field)
 		case *ir.StoreStatic:
-			b.node(NWrite, osa.Key{Static: in.Class.Name + "." + in.Field}, in, fc.Fn)
+			b.static(NWrite, fc, in, in.Class.Name+"."+in.Field)
 		case *ir.MonitorEnter:
-			objs := b.a.PointsTo(in.Obj, ctx).Slice()
+			objs := b.a.PointsToIn(fn, in.Obj).Slice()
 			// The lock node carries the region it opens (its lockset is
 			// still the set held *before* acquiring).
 			region := b.newRegion()
-			id := b.node(NLock, osa.Key{}, in, fc.Fn)
+			id := b.node(NLock, -1, 0, in, fc.Fn)
 			b.g.Nodes[id].Region = region
 			b.lockStack = append(b.lockStack, lockFrame{objs: objs, region: region})
 			b.syncClock++
@@ -580,20 +603,20 @@ func (b *builder) walk(fn pta.FnCtxID) {
 			if n := len(b.lockStack); n > 0 {
 				b.lockStack = b.lockStack[:n-1]
 			}
-			b.node(NUnlock, osa.Key{}, in, fc.Fn)
+			b.node(NUnlock, -1, 0, in, fc.Fn)
 			b.syncClock++
 		case *ir.ChanSend:
 			// Channel operations create inter-origin edges, so the sync
 			// clock advances: a callee replayed after a send can carry new
 			// happens-before and must not dedup against its pre-send replay.
 			b.syncClock++
-			b.chanNode(NChanSend, fc, in, in.Ch)
+			b.chanNode(NChanSend, fn, fc, in, in.Ch)
 		case *ir.ChanRecv:
 			b.syncClock++
-			b.chanNode(NChanRecv, fc, in, in.Ch)
+			b.chanNode(NChanRecv, fn, fc, in, in.Ch)
 		case *ir.ChanClose:
 			b.syncClock++
-			b.chanNode(NChanClose, fc, in, in.Ch)
+			b.chanNode(NChanClose, fn, fc, in, in.Ch)
 		case *ir.Call, *ir.Alloc:
 			if c, ok := in.(*ir.Call); ok && c.Recv != nil && c.Static == nil {
 				ent := b.a.Cfg.Entries
@@ -602,11 +625,11 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// Rule for condition waits: a notify on the same object
 					// happens-before the resumption modeled by this node.
 					b.syncClock++
-					b.condNode(NWait, fc, c)
+					b.condNode(NWait, fn, fc, c)
 					continue
 				case ent.IsNotify(c.Method):
 					b.syncClock++
-					b.condNode(NNotify, fc, c)
+					b.condNode(NNotify, fn, fc, c)
 					continue
 				}
 				if kind, ok := wgKind(ent, c.Method); ok && len(b.a.CG.EdgesAt(fn, idx)) == 0 {
@@ -615,7 +638,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// so model it as a barrier node. Classes defining real
 					// Add/Done/Wait methods dispatch normally above.
 					b.syncClock++
-					b.wgNode(kind, fc, c)
+					b.wgNode(kind, fn, fc, c)
 					continue
 				}
 			}
@@ -625,7 +648,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					b.walk(e.Callee)
 				case pta.EdgeSpawn:
 					b.syncClock++
-					ent := b.node(NEntry, osa.Key{}, in.(ir.Instr), fc.Fn)
+					ent := b.node(NEntry, -1, 0, in.(ir.Instr), fc.Fn)
 					child := b.segment(e.Callee, e.Origin)
 					// Target First may be unknown yet (-1); resolved when
 					// the child segment is built.
@@ -638,7 +661,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					}
 				case pta.EdgeJoin:
 					b.syncClock++
-					jn := b.node(NJoin, osa.Key{}, in.(ir.Instr), fc.Fn)
+					jn := b.node(NJoin, -1, 0, in.(ir.Instr), fc.Fn)
 					b.joins = append(b.joins, pendingJoin{e.Origin, jn})
 				}
 			}
@@ -648,10 +671,10 @@ func (b *builder) walk(fn pta.FnCtxID) {
 
 // condNode records a wait/notify node per object the receiver may point
 // to; Build connects notify → wait afterwards.
-func (b *builder) condNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
-	pts := b.a.PointsTo(in.Recv, fc.Ctx)
+func (b *builder) condNode(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in *ir.Call) {
+	pts := b.a.PointsToIn(fn, in.Recv)
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$monitor"}, in, fc.Fn)
+		b.node(kind, -1, pta.ObjID(o), in, fc.Fn)
 	})
 }
 
@@ -670,28 +693,47 @@ func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 
 // wgNode records a WaitGroup barrier node per object the receiver may
 // point to; Build connects Done → Wait afterwards.
-func (b *builder) wgNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
-	pts := b.a.PointsTo(in.Recv, fc.Ctx)
+func (b *builder) wgNode(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in *ir.Call) {
+	pts := b.a.PointsToIn(fn, in.Recv)
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$wg"}, in, fc.Fn)
+		b.node(kind, -1, pta.ObjID(o), in, fc.Fn)
 	})
 }
 
 // chanNode records a channel-operation node per channel object the operand
 // may point to; Build connects the channel edges afterwards.
-func (b *builder) chanNode(kind NodeKind, fc pta.FnCtx, in ir.Instr, ch *ir.Var) {
-	pts := b.a.PointsTo(ch, fc.Ctx)
+func (b *builder) chanNode(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in ir.Instr, ch *ir.Var) {
+	pts := b.a.PointsToIn(fn, ch)
 	pts.ForEach(func(o uint32) {
 		if b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$chan"}, in, fc.Fn)
+		b.node(kind, -1, pta.ObjID(o), in, fc.Fn)
 	})
 }
 
-func (b *builder) accesses(kind NodeKind, fc pta.FnCtx, in ir.Instr, basev *ir.Var, field string) {
-	pts := b.a.PointsTo(basev, fc.Ctx)
+// accesses records a read or write node per object the base may point to,
+// each carrying the location ⟨o⟩.field. The solve created every such
+// location (see osa.Access, which records the same ones).
+func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in ir.Instr, basev *ir.Var, field string) {
+	pts := b.a.PointsToIn(fn, basev)
+	if pts.IsEmpty() {
+		return
+	}
+	fid, ok := b.a.FieldID(field)
+	if !ok {
+		return
+	}
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: field}, in, fc.Fn)
+		if loc, ok := b.a.FieldLocID(pta.ObjID(o), fid); ok {
+			b.node(kind, int32(loc), pta.ObjID(o), in, fc.Fn)
+		}
 	})
+}
+
+// static records a read or write node on the static field sig.
+func (b *builder) static(kind NodeKind, fc pta.FnCtx, in ir.Instr, sig string) {
+	if loc, ok := b.a.StaticLoc(sig); ok {
+		b.node(kind, int32(loc), 0, in, fc.Fn)
+	}
 }

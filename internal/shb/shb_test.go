@@ -96,7 +96,7 @@ func TestHappensBeforeThroughSpawnAndJoin(t *testing.T) {
 	_, g := build(t, spawnJoin, shb.Config{})
 	var preWrite, workWrite, postWrite int = -1, -1, -1
 	for id, n := range g.Nodes {
-		if n.Kind != shb.NWrite || n.Key.Field != "v" {
+		if n.Kind != shb.NWrite || g.Key(id).Field != "v" {
 			continue
 		}
 		switch {
@@ -143,7 +143,7 @@ main {
 `, shb.Config{})
 	var writes []int
 	for id, n := range g.Nodes {
-		if n.Kind == shb.NWrite && n.Key.Field == "v" && g.Origin(id) != pta.MainOrigin {
+		if n.Kind == shb.NWrite && g.Key(id).Field == "v" && g.Origin(id) != pta.MainOrigin {
 			writes = append(writes, id)
 		}
 	}
@@ -224,8 +224,8 @@ main {
   }
 }
 `, shb.Config{})
-	for _, n := range g.Nodes {
-		if n.Kind == shb.NWrite && n.Key.Field == "v" {
+	for id, n := range g.Nodes {
+		if n.Kind == shb.NWrite && g.Key(id).Field == "v" {
 			if len(g.Locksets.Set(n.Locks)) != 2 {
 				t.Errorf("nested sync should hold both locks: %v", g.Locksets.Set(n.Locks))
 			}
@@ -252,7 +252,7 @@ main {
 	_, android := build(t, src, shb.Config{AndroidEvents: true})
 	handlerLocked := func(g *shb.Graph) bool {
 		for id, n := range g.Nodes {
-			if n.Kind == shb.NWrite && n.Key.Field == "v" && g.Origin(id) != pta.MainOrigin {
+			if n.Kind == shb.NWrite && g.Key(id).Field == "v" && g.Origin(id) != pta.MainOrigin {
 				return n.Locks != 0
 			}
 		}
@@ -347,20 +347,62 @@ func checkHBAgreement(t *testing.T, g *shb.Graph) {
 	wg.Wait()
 }
 
-// Accesses recorded in the SHB trace must agree with OSA's access keys.
+// Accesses recorded in the SHB trace must agree with OSA's accesses: each
+// read or write node's location is one OSA recorded, with the same key
+// (a location's key names it uniquely) and the key's object; every other
+// node carries no location.
 func TestSHBKeysConsistentWithOSA(t *testing.T) {
 	a, g := build(t, spawnJoin, shb.Config{})
-	sh := osa.Analyze(a)
-	keys := map[osa.Key]bool{}
-	for _, acc := range sh.Accesses {
-		keys[acc.Key] = true
-	}
-	for _, n := range g.Nodes {
-		if n.Kind == shb.NRead || n.Kind == shb.NWrite {
-			if !keys[n.Key] {
-				t.Errorf("SHB access %v unknown to OSA", n.Key)
-			}
+	checkSHBAgainstOSA(t, "spawnJoin", a, g)
+	for _, name := range []string{"zookeeper", "gosync"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("preset %s missing", name)
 		}
+		entries := ir.DefaultEntryConfig()
+		a := pta.New(workload.Build(p, entries), pta.Config{Policy: pta.Policy{Kind: pta.KOrigin, K: 1}, Entries: entries})
+		if err := a.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		checkSHBAgainstOSA(t, name, a, shb.Build(a, shb.Config{}))
+	}
+}
+
+func checkSHBAgainstOSA(t *testing.T, name string, a *pta.Analysis, g *shb.Graph) {
+	t.Helper()
+	sh := osa.Analyze(a)
+	keys := map[int32]osa.Key{}
+	locs := map[osa.Key]int32{}
+	for _, acc := range sh.Accesses {
+		k := osa.LocKey(a, acc.Loc)
+		if k.Field == "" && k.Static == "" {
+			t.Fatalf("%s: OSA access location %d has no key", name, acc.Loc)
+		}
+		if loc, ok := locs[k]; ok && loc != acc.Loc {
+			t.Fatalf("%s: locations %d and %d share key %v", name, loc, acc.Loc, k)
+		}
+		keys[acc.Loc], locs[k] = k, acc.Loc
+	}
+	accesses := 0
+	for id, n := range g.Nodes {
+		if n.Kind != shb.NRead && n.Kind != shb.NWrite {
+			if n.Loc != -1 {
+				t.Errorf("%s: %s node %d carries location %d", name, n.Kind, id, n.Loc)
+			}
+			continue
+		}
+		accesses++
+		k, ok := keys[n.Loc]
+		if !ok {
+			t.Errorf("%s: SHB access %v unknown to OSA", name, g.Key(id))
+			continue
+		}
+		if g.Key(id) != k || k.Obj != n.Obj {
+			t.Errorf("%s: node %d key %v (obj %d), OSA has %v", name, id, g.Key(id), n.Obj, k)
+		}
+	}
+	if accesses == 0 {
+		t.Fatalf("%s: no access nodes", name)
 	}
 }
 
