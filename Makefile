@@ -1,6 +1,7 @@
 # Development and CI entry points.
 #
-#   make ci          vet + build + tests + race pass + coverage floors + bench gate
+#   make ci          gofmt + vet + build + tests + race pass + coverage floors + bench gate
+#   make fmt         fail if gofmt would reformat any file
 #   make test        go test ./...
 #   make race        go test -race on the concurrency-critical packages
 #   make cover       per-package coverage floors (obs/race/lockset)
@@ -15,9 +16,12 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet build test race cover bench-gate fuzz bench bench-layers
+.PHONY: ci fmt vet build test race cover bench-gate fuzz bench bench-layers
 
-ci: vet build test race cover bench-gate
+ci: fmt vet build test race cover bench-gate
+
+fmt:
+	./ci.sh fmt
 
 vet:
 	$(GO) vet ./...
@@ -31,7 +35,7 @@ test:
 # The packages whose state is shared across detection workers; Workers ≥ 8
 # paths are exercised by the tests in internal/race.
 race:
-	$(GO) test -race ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/obs/
+	$(GO) test -race ./internal/pta/ ./internal/osa/ ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/obs/
 
 cover:
 	./ci.sh cover

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI pipeline for environments without make: vet, build, full test suite
+# CI pipeline for environments without make: gofmt, vet, build, full test suite
 # (which replays the checked-in fuzz corpus), the race-detector pass over
 # the packages shared across detection workers, per-package coverage
 # floors, and the bench gate (deterministic pipeline stats vs the
@@ -10,7 +10,14 @@
 #   ./ci.sh bench-variance  run only the timing-noise gate (emits VARIANCE_ci.json)
 #   ./ci.sh cover           run only the coverage floors
 #   ./ci.sh eval            run only the precision gate + metamorphic smoke
+#   ./ci.sh fmt             run only the gofmt check
 set -eux
+
+# Formatting gate: gofmt must list no file under the repository.
+fmt_gate() {
+	unformatted=$(gofmt -l .)
+	[ -z "$unformatted" ] || { echo "gofmt: unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
+}
 
 bench_gate() {
 	go run ./cmd/o2bench -table gate \
@@ -197,17 +204,22 @@ eval)
 	eval_gate
 	exit 0
 	;;
+fmt)
+	fmt_gate
+	exit 0
+	;;
 all) ;;
 *)
-	echo "usage: ./ci.sh [bench-gate|bench-variance|cover|smoke|telemetry|eval]" >&2
+	echo "usage: ./ci.sh [bench-gate|bench-variance|cover|smoke|telemetry|eval|fmt]" >&2
 	exit 2
 	;;
 esac
 
+fmt_gate
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/ring/ ./internal/obs/ ./internal/sched/ ./internal/server/ ./internal/summary/ ./internal/corpus/
+go test -race ./internal/pta/ ./internal/osa/ ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/ring/ ./internal/obs/ ./internal/sched/ ./internal/server/ ./internal/summary/ ./internal/corpus/
 go test -race -run 'TestIncrementalConcurrentStore' ./internal/truth/
 go test -race -run 'TestAnalyzeCorpus' .
 cover

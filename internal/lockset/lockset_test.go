@@ -96,6 +96,37 @@ func TestCanonReusesIDs(t *testing.T) {
 	}
 }
 
+// TestCanonHitAllocFree pins Canon's hit path to zero allocations: SHB
+// construction calls it once per emitted node, almost always with a
+// lockset already interned. Duplicates and disorder exercise the reused
+// sort and dedupe buffer; the >64-lock set exercises a longer key.
+func TestCanonHitAllocFree(t *testing.T) {
+	tb := NewTable()
+	big := make([]uint32, 80)
+	for i := range big {
+		big[i] = uint32(200 - i)
+	}
+	sets := [][]uint32{{7, 3, 7, 1}, {42}, big}
+	ids := make([]ID, len(sets))
+	for i, s := range sets {
+		ids[i] = tb.Canon(s)
+	}
+	calls := tb.Stats().CanonCalls
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, s := range sets {
+			if tb.Canon(s) != ids[i] {
+				t.Fatalf("set %d re-interned differently", i)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Canon hit allocates %v per round", allocs)
+	}
+	if got := tb.Stats().CanonCalls - calls; got != 101*int64(len(sets)) {
+		t.Fatalf("canon calls counted %d, want %d", got, 101*len(sets))
+	}
+}
+
 func TestIntersectSorted(t *testing.T) {
 	cases := []struct {
 		x, y []uint32
