@@ -82,7 +82,20 @@ type callC struct {
 	idx    int // instruction index in caller body
 }
 
+// nodeCons are the constraints registered on one base node, resolved
+// against each object newly added to its points-to set.
+type nodeCons struct {
+	loads  []loadC
+	stores []storeC
+	calls  []callC
+}
+
 type edgeKey struct{ from, to NodeID }
+
+// edgeScan is the out-degree up to which addEdge finds a duplicate edge by
+// scanning the source's successor list. Most nodes never pass it; the
+// edges of those that do are also kept in a set.
+const edgeScan = 8
 
 // Analysis holds all state of one pointer-analysis run and is the query
 // interface used by OSA, SHB construction and the race detector.
@@ -98,11 +111,12 @@ type Analysis struct {
 	pts   []Bits
 	delta []Bits
 	succ  [][]NodeID
-	edges map[edgeKey]struct{}
+	edges map[edgeKey]struct{} // edges of nodes with more than edgeScan successors
 
-	loads  map[NodeID][]loadC
-	stores map[NodeID][]storeC
-	calls  map[NodeID][]callC
+	// cons[n] is the index of node n's constraints in consLists plus one
+	// (0: none registered).
+	cons      []int32
+	consLists []nodeCons
 
 	// varSlots holds every contexted variable's node: variable v of
 	// call-graph node f is varSlots[varBase[f]+v.ID], noNode until first
@@ -140,9 +154,6 @@ func New(prog *ir.Program, cfg Config) *Analysis {
 		ctxs:           newCtxTable(),
 		heap:           newHeap(),
 		edges:          map[edgeKey]struct{}{},
-		loads:          map[NodeID][]loadC{},
-		stores:         map[NodeID][]storeC{},
-		calls:          map[NodeID][]callC{},
 		hasOriginAlloc: map[*ir.Func]bool{},
 	}
 	for _, f := range prog.Funcs {
@@ -266,7 +277,18 @@ func (a *Analysis) ensureNode(id NodeID) {
 		a.delta = append(a.delta, Bits{})
 		a.succ = append(a.succ, nil)
 		a.inWL = append(a.inWL, false)
+		a.cons = append(a.cons, 0)
 	}
+}
+
+// consOf returns base node n's constraint lists, creating them on first
+// use. The pointer is valid until the next consOf call.
+func (a *Analysis) consOf(n NodeID) *nodeCons {
+	if a.cons[n] == 0 {
+		a.consLists = append(a.consLists, nodeCons{})
+		a.cons[n] = int32(len(a.consLists))
+	}
+	return &a.consLists[a.cons[n]-1]
 }
 
 // noNode marks a variable slot whose node does not exist yet.
@@ -332,12 +354,29 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	if from == to {
 		return
 	}
-	k := edgeKey{from, to}
-	if _, dup := a.edges[k]; dup {
-		return
+	succ := a.succ[from]
+	if len(succ) <= edgeScan {
+		for _, s := range succ {
+			if s == to {
+				return
+			}
+		}
+		if len(succ) == edgeScan {
+			// from becomes busy: from now on its duplicates are found in
+			// the edge set.
+			for _, s := range succ {
+				a.edges[edgeKey{from, s}] = struct{}{}
+			}
+			a.edges[edgeKey{from, to}] = struct{}{}
+		}
+	} else {
+		k := edgeKey{from, to}
+		if _, dup := a.edges[k]; dup {
+			return
+		}
+		a.edges[k] = struct{}{}
 	}
-	a.edges[k] = struct{}{}
-	a.succ[from] = append(a.succ[from], to)
+	a.succ[from] = append(succ, to)
 	a.numEdges++
 	a.constraints++
 	if !a.pts[from].IsEmpty() {
@@ -357,23 +396,26 @@ func (a *Analysis) processNode(n NodeID) {
 		}
 		a.addSet(m, &d)
 	}
-	for _, lc := range a.loads[n] {
-		d.ForEach(func(o uint32) {
-			a.addEdge(a.fieldNode(ObjID(o), lc.field), lc.dst)
-		})
-	}
-	for _, sc := range a.stores[n] {
-		d.ForEach(func(o uint32) {
-			a.addEdge(sc.src, a.fieldNode(ObjID(o), sc.field))
-		})
-	}
-	for _, cc := range a.calls[n] {
-		d.ForEach(func(o uint32) {
-			if !a.budget() {
-				return
-			}
-			a.resolveCall(cc, ObjID(o))
-		})
+	if ci := a.cons[n]; ci != 0 {
+		c := &a.consLists[ci-1]
+		for _, lc := range c.loads {
+			d.ForEach(func(o uint32) {
+				a.addEdge(a.fieldNode(ObjID(o), lc.field), lc.dst)
+			})
+		}
+		for _, sc := range c.stores {
+			d.ForEach(func(o uint32) {
+				a.addEdge(sc.src, a.fieldNode(ObjID(o), sc.field))
+			})
+		}
+		for _, cc := range c.calls {
+			d.ForEach(func(o uint32) {
+				if !a.budget() {
+					return
+				}
+				a.resolveCall(cc, ObjID(o))
+			})
+		}
 	}
 	// Recycle d's word storage into the (now empty, unless a callback
 	// above re-populated it) delta slot, so the next delta for this node
@@ -492,33 +534,13 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 		case *ir.Copy:
 			a.addEdge(a.varNode(id, in.Src), a.varNode(id, in.Dst))
 		case *ir.LoadField:
-			base := a.varNode(id, in.Obj)
-			dst := a.varNode(id, in.Dst)
-			fid := a.heap.fieldID(in.Field)
-			a.loads[base] = append(a.loads[base], loadC{dst, fid})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
+			a.addLoad(a.varNode(id, in.Obj), a.varNode(id, in.Dst), in.Field)
 		case *ir.StoreField:
-			base := a.varNode(id, in.Obj)
-			src := a.varNode(id, in.Src)
-			fid := a.heap.fieldID(in.Field)
-			a.stores[base] = append(a.stores[base], storeC{src, fid})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
+			a.addStore(a.varNode(id, in.Obj), a.varNode(id, in.Src), in.Field)
 		case *ir.LoadIndex:
-			base := a.varNode(id, in.Arr)
-			dst := a.varNode(id, in.Dst)
-			fid := a.heap.fieldID(ir.ArrayField)
-			a.loads[base] = append(a.loads[base], loadC{dst, fid})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
+			a.addLoad(a.varNode(id, in.Arr), a.varNode(id, in.Dst), ir.ArrayField)
 		case *ir.StoreIndex:
-			base := a.varNode(id, in.Arr)
-			src := a.varNode(id, in.Src)
-			fid := a.heap.fieldID(ir.ArrayField)
-			a.stores[base] = append(a.stores[base], storeC{src, fid})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
+			a.addStore(a.varNode(id, in.Arr), a.varNode(id, in.Src), ir.ArrayField)
 		case *ir.LoadStatic:
 			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(id, in.Dst))
 		case *ir.StoreStatic:
@@ -534,20 +556,10 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			// pointer sent over a channel reaches every receiver that may
 			// share the channel (Fava/Steffen's communication semantics,
 			// flow-insensitively).
-			base := a.varNode(id, in.Ch)
-			src := a.varNode(id, in.Val)
-			fid := a.heap.fieldID(ChanElemField)
-			a.stores[base] = append(a.stores[base], storeC{src, fid})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
+			a.addStore(a.varNode(id, in.Ch), a.varNode(id, in.Val), ChanElemField)
 		case *ir.ChanRecv:
 			if in.Dst != nil {
-				base := a.varNode(id, in.Ch)
-				dst := a.varNode(id, in.Dst)
-				fid := a.heap.fieldID(ChanElemField)
-				a.loads[base] = append(a.loads[base], loadC{dst, fid})
-				a.constraints++
-				a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
+				a.addLoad(a.varNode(id, in.Ch), a.varNode(id, in.Dst), ChanElemField)
 			}
 		case *ir.Call:
 			if in.Static != nil && in.Recv == nil {
@@ -574,11 +586,32 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			}
 			recv := a.varNode(id, driver)
 			cc := callC{caller: id, instr: in, idx: idx}
-			a.calls[recv] = append(a.calls[recv], cc)
+			c := a.consOf(recv)
+			c.calls = append(c.calls, cc)
 			a.constraints++
 			a.replayObjs(recv, func(o ObjID) { a.resolveCall(cc, o) })
 		}
 	}
+}
+
+// addLoad registers dst = base.field: each object o that base points to,
+// now or later, gets the PAG edge ⟨o⟩.field → dst.
+func (a *Analysis) addLoad(base, dst NodeID, field string) {
+	fid := a.heap.fieldID(field)
+	c := a.consOf(base)
+	c.loads = append(c.loads, loadC{dst, fid})
+	a.constraints++
+	a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, fid), dst) })
+}
+
+// addStore registers base.field = src: each object o that base points
+// to, now or later, gets the PAG edge src → ⟨o⟩.field.
+func (a *Analysis) addStore(base, src NodeID, field string) {
+	fid := a.heap.fieldID(field)
+	c := a.consOf(base)
+	c.stores = append(c.stores, storeC{src, fid})
+	a.constraints++
+	a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, fid)) })
 }
 
 // replayObjs invokes fn for objects already in pts(base) when a constraint
