@@ -194,7 +194,7 @@ func lockObjsAt(a *pta.Analysis, n *shb.Node) []pta.ObjID {
 		if fc.Fn != n.Fn {
 			continue
 		}
-		a.PointsTo(me.Obj, fc.Ctx).ForEach(func(o uint32) {
+		a.PointsToIn(pta.FnCtxID(id), me.Obj).ForEach(func(o uint32) {
 			if !seen[pta.ObjID(o)] {
 				seen[pta.ObjID(o)] = true
 				out = append(out, pta.ObjID(o))

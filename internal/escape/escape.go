@@ -93,13 +93,13 @@ func countSharedAccesses(a *pta.Analysis, esc *pta.Bits) int {
 		for _, in := range fc.Fn.Body {
 			switch in := in.(type) {
 			case *ir.LoadField:
-				markIfEscaped(a, esc, shared, in, in.Obj, fc.Ctx)
+				markIfEscaped(a, esc, shared, in, in.Obj, pta.FnCtxID(id))
 			case *ir.StoreField:
-				markIfEscaped(a, esc, shared, in, in.Obj, fc.Ctx)
+				markIfEscaped(a, esc, shared, in, in.Obj, pta.FnCtxID(id))
 			case *ir.LoadIndex:
-				markIfEscaped(a, esc, shared, in, in.Arr, fc.Ctx)
+				markIfEscaped(a, esc, shared, in, in.Arr, pta.FnCtxID(id))
 			case *ir.StoreIndex:
-				markIfEscaped(a, esc, shared, in, in.Arr, fc.Ctx)
+				markIfEscaped(a, esc, shared, in, in.Arr, pta.FnCtxID(id))
 			case *ir.LoadStatic, *ir.StoreStatic:
 				shared[in.(ir.Instr)] = true
 			}
@@ -108,8 +108,8 @@ func countSharedAccesses(a *pta.Analysis, esc *pta.Bits) int {
 	return len(shared)
 }
 
-func markIfEscaped(a *pta.Analysis, esc *pta.Bits, shared map[ir.Instr]bool, in ir.Instr, base *ir.Var, ctx pta.CtxID) {
-	if a.PointsTo(base, ctx).Intersects(esc) {
+func markIfEscaped(a *pta.Analysis, esc *pta.Bits, shared map[ir.Instr]bool, in ir.Instr, base *ir.Var, f pta.FnCtxID) {
+	if a.PointsToIn(f, base).Intersects(esc) {
 		shared[in] = true
 	}
 }
