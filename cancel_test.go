@@ -8,6 +8,7 @@ import (
 
 	"o2/internal/cases"
 	"o2/internal/lang"
+	"o2/internal/obs"
 	"o2/internal/workload"
 )
 
@@ -85,32 +86,11 @@ func TestCancelMidDetect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	// linux-x4: solve ≈ 130ms, detect ≈ seconds. Canceling at 500ms lands
-	// firmly inside detection.
-	prog := workload.Build(workload.Scale(workload.Linux(), 4), DefaultConfig().Entries)
-	ctx, cancel := context.WithCancel(context.Background())
-	var canceledAt time.Time
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		canceledAt = time.Now()
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Analyze(ctx, prog, DefaultConfig())
-	end := time.Now()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v (after %v)", err, end.Sub(start))
-	}
-	if end.Sub(start) < 400*time.Millisecond {
-		// The workload finished before the cancel fired — the test proved
-		// nothing about mid-detect cancellation.
-		t.Fatalf("workload too fast (%v); scale it up", end.Sub(start))
-	}
-	if lat := end.Sub(canceledAt); lat > 100*time.Millisecond {
+	lat := cancelInPairLoop(t, DefaultConfig())
+	if lat > 100*time.Millisecond {
 		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
-	} else {
-		t.Logf("cancellation latency %v", lat)
 	}
+	t.Logf("cancellation latency %v", lat)
 }
 
 // TestCancelMidDetectParallel: same as above with a worker pool, proving
@@ -119,27 +99,58 @@ func TestCancelMidDetectParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	prog := workload.Build(workload.Scale(workload.Linux(), 4), DefaultConfig().Entries)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
+	if lat := cancelInPairLoop(t, cfg); lat > 100*time.Millisecond {
+		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
+	}
+}
+
+// cancelInPairLoop analyzes linux-x4 under cfg and cancels the context
+// once race detection reports half of its pairs examined, so the
+// cancellation lands in the middle of the pairwise loop however fast the
+// machine is. It requires ErrCanceled and returns the time from the
+// cancel to Analyze's return.
+func cancelInPairLoop(t *testing.T, cfg Config) time.Duration {
+	t.Helper()
+	prog := workload.Build(workload.Scale(workload.Linux(), 4), cfg.Entries)
+	progress := obs.NewProgress()
+	cfg.Progress = progress
 	ctx, cancel := context.WithCancel(context.Background())
-	var canceledAt time.Time
+	defer cancel()
+	canceledAt := make(chan time.Time, 1)
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
-		time.Sleep(500 * time.Millisecond)
-		canceledAt = time.Now()
-		cancel()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if s := progress.Snapshot(); s.PairsTotal > 0 && 2*s.PairsDone >= s.PairsTotal {
+				canceledAt <- time.Now()
+				cancel()
+				return
+			}
+		}
 	}()
 	start := time.Now()
 	_, err := Analyze(ctx, prog, cfg)
 	end := time.Now()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v (after %v)", err, end.Sub(start))
-	}
-	if end.Sub(start) < 400*time.Millisecond {
-		t.Fatalf("workload too fast (%v); scale it up", end.Sub(start))
-	}
-	if lat := end.Sub(canceledAt); lat > 100*time.Millisecond {
-		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
+	select {
+	case at := <-canceledAt:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("want ErrCanceled, got %v (after %v)", err, end.Sub(start))
+		}
+		return end.Sub(at)
+	default:
+		// The workload finished before the pair loop was seen halfway —
+		// the test would prove nothing about mid-detect cancellation.
+		t.Fatalf("analysis returned %v after %v before the pair loop was seen halfway; scale the workload up", err, end.Sub(start))
+		return 0
 	}
 }
 

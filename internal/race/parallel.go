@@ -82,10 +82,10 @@ func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp
 	done := make([]atomic.Bool, len(keys))
 	var next atomic.Int64
 	var busyNS atomic.Int64
-	m := newMerger(rep, g, opt)
+	m := newMerger(rep, g, opt, bud)
 	nextMerge := 0
 	mergeDone := func() {
-		for nextMerge < len(keys) && done[nextMerge].Load() {
+		for nextMerge < len(keys) && done[nextMerge].Load() && !bud.canceled() {
 			m.merge(keys[nextMerge], &results[nextMerge])
 			nextMerge++
 		}
@@ -132,9 +132,10 @@ func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp
 	work(0, mergeDone)
 	// Every claimed group is done once the workers exit (and their
 	// deferred tally merges and busy-time adds are visible); unclaimed
-	// groups after a budget trip or cancellation merge as empty results.
+	// groups after a budget trip merge as empty results. After a
+	// cancellation the report is a lower bound, so the rest is dropped.
 	wg.Wait()
-	for ; nextMerge < len(keys); nextMerge++ {
+	for ; nextMerge < len(keys) && !bud.canceled(); nextMerge++ {
 		m.merge(keys[nextMerge], &results[nextMerge])
 	}
 	return busyNS.Load()

@@ -317,7 +317,7 @@ func (rep *Report) recordObs(reg *obs.Registry, workers int, busyNS int64) {
 // materialized by the merger before the next check overwrites it), so the
 // steady-state loop allocates nothing.
 func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget) {
-	m := newMerger(rep, g, opt)
+	m := newMerger(rep, g, opt, bud)
 	var buf []racePair
 	tally := opt.newTally()
 	for i, k := range grp.keys {
@@ -361,6 +361,7 @@ type merger struct {
 	g    *shb.Graph
 	attr *Attribution
 	prog *obs.Progress
+	bud  *pairBudget // its cancel latch stops merging
 	// seen holds the dedup key of every reported race. fields interns the
 	// location field names, once per group with racing pairs; pos interns
 	// the access positions, and nodePos[n] caches node n's position ID
@@ -380,8 +381,8 @@ type dedupKey struct {
 	field, a, b int32
 }
 
-func newMerger(rep *Report, g *shb.Graph, opt Options) *merger {
-	return &merger{rep: rep, g: g, attr: opt.Attr, prog: opt.Progress}
+func newMerger(rep *Report, g *shb.Graph, opt Options, bud *pairBudget) *merger {
+	return &merger{rep: rep, g: g, attr: opt.Attr, prog: opt.Progress, bud: bud}
 }
 
 // posID interns the source position of an access node's instruction.
@@ -405,7 +406,9 @@ func (m *merger) posID(node int32) int32 {
 // field and unordered position pair in encounter order and materializing
 // a Race struct only for the first pair of each key. Merging runs in
 // group order, so the attribution and progress race counts it updates are
-// deterministic too.
+// deterministic too. Once the detect context ends, merging stops within
+// cancelStride pairs: a group can hold millions of racing pairs, and the
+// partial report only has to be a lower bound.
 func (m *merger) merge(k osa.Key, gr *groupResult) {
 	rep, g := m.rep, m.g
 	rep.Representatives += gr.reps
@@ -433,7 +436,10 @@ func (m *merger) merge(k osa.Key, gr *groupResult) {
 		m.fields[field] = fid
 	}
 	newRaces := int64(0)
-	for _, p := range gr.rp {
+	for i, p := range gr.rp {
+		if i&(cancelStride-1) == cancelStride-1 && m.bud.canceled() {
+			break
+		}
 		key := dedupKey{fid, m.posID(p.a), m.posID(p.b)}
 		if key.b < key.a {
 			key.a, key.b = key.b, key.a
@@ -454,8 +460,8 @@ func (m *merger) merge(k osa.Key, gr *groupResult) {
 }
 
 // cancelStride is the number of hot-loop iterations between cancellation
-// polls in checkGroup and collect (power of two, so the stride test is one
-// AND). A pair check costs on the order of 100ns — even 50× slower under
+// polls in checkGroup, collect and the merger (power of two, so the stride
+// test is one AND). A pair check costs on the order of 100ns — even 50× slower under
 // the race detector, one stride is well under a millisecond, keeping the
 // context-end-to-exit latency far inside the <100ms guarantee pinned by
 // TestCancelMidDetect and TestCancelLatchAgreesWithPairBudget. The poll
