@@ -97,12 +97,22 @@ func (r *Result) OriginsOf(k Key) []pta.OriginID {
 		return out
 	}
 	rd, wr := r.originSets(int(r.dense[loc] - 1))
-	for w := range rd {
-		for word := rd[w] | wr[w]; word != 0; word &= word - 1 {
-			out = append(out, pta.OriginID(w*64+bits.TrailingZeros64(word)))
+	all := make([]uint64, len(rd))
+	for w := range all {
+		all[w] = rd[w] | wr[w]
+	}
+	forEachOrigin(all, func(o pta.OriginID) { out = append(out, o) })
+	return out
+}
+
+// forEachOrigin calls fn for each origin of an origin set, in ascending
+// order.
+func forEachOrigin(set []uint64, fn func(pta.OriginID)) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			fn(pta.OriginID(w*64 + bits.TrailingZeros64(word)))
 		}
 	}
-	return out
 }
 
 // loc finds the location ID of a key.
@@ -234,18 +244,8 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 }
 
 func (v *visitor) access(fn pta.FnCtxID, origin pta.OriginID, in ir.Instr, base *ir.Var, field string, write bool) {
-	pts := v.a.PointsToIn(fn, base)
-	if pts.IsEmpty() {
-		return
-	}
-	fid, ok := v.a.FieldID(field)
-	if !ok {
-		return
-	}
-	pts.ForEach(func(o uint32) {
-		if loc, ok := v.a.FieldLocID(pta.ObjID(o), fid); ok {
-			v.record(int32(loc), origin, write, in)
-		}
+	v.a.ForEachFieldLoc(fn, base, field, func(_ pta.ObjID, loc pta.NodeID) {
+		v.record(int32(loc), origin, write, in)
 	})
 }
 
@@ -290,13 +290,11 @@ func (r *Result) finish() {
 		if !shared {
 			// A replicated origin has concurrent instances: a write from it
 			// is shared with its sibling instance.
-			for w := range wr {
-				for word := wr[w]; word != 0; word &= word - 1 {
-					if r.A.Origins.Get(pta.OriginID(w*64 + bits.TrailingZeros64(word))).Replicated {
-						shared = true
-					}
+			forEachOrigin(wr, func(o pta.OriginID) {
+				if r.A.Origins.Get(o).Replicated {
+					shared = true
 				}
-			}
+			})
 		}
 		if shared {
 			r.shared[loc] = true

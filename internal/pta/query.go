@@ -109,26 +109,34 @@ func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
 // IDs, for sizing slices indexed by location.
 func (a *Analysis) NumNodes() int { return a.heap.NumNodes() }
 
-// FieldID returns the interned ID of a field name, or false if no load or
-// store constraint names the field.
-func (a *Analysis) FieldID(field string) (int32, bool) {
-	id, ok := a.heap.fieldIDs[field]
-	return id, ok
-}
-
-// FieldLocID returns the location of ⟨obj⟩.field for an interned field ID.
-func (a *Analysis) FieldLocID(obj ObjID, fid int32) (NodeID, bool) {
+// FieldLoc returns the location of ⟨obj⟩.field.
+func (a *Analysis) FieldLoc(obj ObjID, field string) (NodeID, bool) {
+	fid, ok := a.heap.fieldIDs[field]
+	if !ok {
+		return 0, false
+	}
 	id, ok := a.heap.fldIdx[fieldKey(obj, fid)]
 	return id, ok
 }
 
-// FieldLoc returns the location of ⟨obj⟩.field.
-func (a *Analysis) FieldLoc(obj ObjID, field string) (NodeID, bool) {
-	fid, ok := a.FieldID(field)
-	if !ok {
-		return 0, false
+// ForEachFieldLoc calls fn for each object that base may point to in
+// call-graph node f, with the location ⟨obj⟩.field: the locations an
+// access base.field touches. The field name is looked up once, not per
+// object.
+func (a *Analysis) ForEachFieldLoc(f FnCtxID, base *ir.Var, field string, fn func(obj ObjID, loc NodeID)) {
+	pts := a.PointsToIn(f, base)
+	if pts.IsEmpty() {
+		return
 	}
-	return a.FieldLocID(obj, fid)
+	fid, ok := a.heap.fieldIDs[field]
+	if !ok {
+		return
+	}
+	pts.ForEach(func(o uint32) {
+		if loc, ok := a.heap.fldIdx[fieldKey(ObjID(o), fid)]; ok {
+			fn(ObjID(o), loc)
+		}
+	})
 }
 
 // StaticLoc returns the location of the static field with signature

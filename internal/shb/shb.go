@@ -713,21 +713,10 @@ func (b *builder) chanNode(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in ir.In
 }
 
 // accesses records a read or write node per object the base may point to,
-// each carrying the location ⟨o⟩.field. The solve created every such
-// location (see osa.Access, which records the same ones).
+// each carrying the location ⟨o⟩.field, as OSA records it.
 func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, fc pta.FnCtx, in ir.Instr, basev *ir.Var, field string) {
-	pts := b.a.PointsToIn(fn, basev)
-	if pts.IsEmpty() {
-		return
-	}
-	fid, ok := b.a.FieldID(field)
-	if !ok {
-		return
-	}
-	pts.ForEach(func(o uint32) {
-		if loc, ok := b.a.FieldLocID(pta.ObjID(o), fid); ok {
-			b.node(kind, int32(loc), pta.ObjID(o), in, fc.Fn)
-		}
+	b.a.ForEachFieldLoc(fn, basev, field, func(obj pta.ObjID, loc pta.NodeID) {
+		b.node(kind, int32(loc), obj, in, fc.Fn)
 	})
 }
 
