@@ -116,22 +116,26 @@ type DetectRun struct {
 // registry in opts.Obs (if any) also observes the OSA and SHB phases.
 func RunDetect(a *pta.Analysis, opts race.Options, android bool, pairBudget int64) DetectRun {
 	opts.PairBudget = pairBudget
-	h0 := obs.ReadHeapCounters()
-	t0 := time.Now()
+	// Each phase is timed inside its heap readings: ReadHeapCounters
+	// stops the world, which must not count as phase time.
+	h := obs.ReadHeapCounters()
+	t := time.Now()
 	sharing := osa.AnalyzeWith(a, opts.Obs)
-	opts.Obs.HeapGauges("osa", h0)
-	h1 := obs.ReadHeapCounters()
-	t1 := time.Now()
+	osaTime := time.Since(t)
+	opts.Obs.HeapGauges("osa", h)
+	h = obs.ReadHeapCounters()
+	t = time.Now()
 	g := shb.Build(a, shb.Config{AndroidEvents: android, Obs: opts.Obs})
-	opts.Obs.HeapGauges("shb", h1)
-	h2 := obs.ReadHeapCounters()
-	t2 := time.Now()
+	shbTime := time.Since(t)
+	opts.Obs.HeapGauges("shb", h)
+	h = obs.ReadHeapCounters()
+	t = time.Now()
 	rep := race.Detect(a, sharing, g, opts)
-	t3 := time.Now()
-	opts.Obs.HeapGauges("detect", h2)
+	detectTime := time.Since(t)
+	opts.Obs.HeapGauges("detect", h)
 	return DetectRun{
 		Sharing: sharing, Graph: g, Report: rep,
-		OSATime: t1.Sub(t0), SHBTime: t2.Sub(t1), Time: t3.Sub(t2),
+		OSATime: osaTime, SHBTime: shbTime, Time: detectTime,
 		TimedOut: rep.TimedOut,
 	}
 }
