@@ -262,9 +262,7 @@ func (v *visitor) record(loc int32, origin pta.OriginID, write bool, in ir.Instr
 		r.locs = append(r.locs, loc)
 		n = int32(len(r.locs))
 		r.dense[loc] = n
-		for i := 0; i < 2*r.words; i++ {
-			r.sets = append(r.sets, 0)
-		}
+		r.sets = append(r.sets, make([]uint64, 2*r.words)...)
 	}
 	rd, wr := r.originSets(int(n - 1))
 	set := rd

@@ -460,13 +460,13 @@ func (m *merger) merge(k osa.Key, gr *groupResult) {
 }
 
 // cancelStride is the number of hot-loop iterations between cancellation
-// polls in checkGroup, collect and the merger (power of two, so the stride
-// test is one AND). A pair check costs on the order of 100ns — even 50× slower under
-// the race detector, one stride is well under a millisecond, keeping the
-// context-end-to-exit latency far inside the <100ms guarantee pinned by
-// TestCancelMidDetect and TestCancelLatchAgreesWithPairBudget. The poll
-// itself is one atomic load (~0.4ns), so the stride's amortized cost is
-// unmeasurable.
+// polls in checkGroup, collect and the merger (power of two, so the
+// stride test is one AND). A pair check costs on the order of 100ns —
+// even 50× slower under the race detector, one stride is well under a
+// millisecond, keeping the context-end-to-exit latency far inside the
+// <100ms guarantee pinned by TestCancelMidDetect and
+// TestCancelLatchAgreesWithPairBudget. The poll itself is one atomic load
+// (~0.4ns), so the stride's amortized cost is unmeasurable.
 const cancelStride = 64
 
 // checkGroup runs the pairwise hybrid HB × lockset check over one
