@@ -92,12 +92,26 @@ func RunPTA(prog *ir.Program, pol pta.Policy, entries ir.EntryConfig, stepBudget
 // RunPTAObs is RunPTA reporting into an observability registry.
 func RunPTAObs(prog *ir.Program, pol pta.Policy, entries ir.EntryConfig, stepBudget int64, reg *obs.Registry) PTARun {
 	a := pta.New(prog, pta.Config{Policy: pol, Entries: entries, StepBudget: stepBudget, Obs: reg})
-	h0 := obs.ReadHeapCounters()
-	t0 := time.Now()
-	err := a.Solve()
-	dt := time.Since(t0)
-	reg.HeapGauges("pta", h0)
+	var err error
+	dt := measurePhase(reg, "pta", func() { err = a.Solve() })
 	return PTARun{A: a, Stats: a.Stats(), Time: dt, TimedOut: err != nil}
+}
+
+// measurePhase runs one pipeline phase and returns its wall time. With a
+// registry it also records the phase's exact heap allocations as the
+// "<name>.heap_allocs" and "<name>.heap_bytes" gauges, which the bench
+// gate budgets. The clock runs inside the two heap readings: they stop
+// the world, which must not count as phase time.
+func measurePhase(reg *obs.Registry, name string, fn func()) time.Duration {
+	var h obs.HeapCounters
+	if reg.Enabled() {
+		h = obs.ReadHeapCounters()
+	}
+	t := time.Now()
+	fn()
+	d := time.Since(t)
+	reg.HeapGauges(name, h)
+	return d
 }
 
 // DetectRun is the result of one full detection pipeline stage (OSA + SHB
@@ -116,23 +130,16 @@ type DetectRun struct {
 // registry in opts.Obs (if any) also observes the OSA and SHB phases.
 func RunDetect(a *pta.Analysis, opts race.Options, android bool, pairBudget int64) DetectRun {
 	opts.PairBudget = pairBudget
-	// Each phase is timed inside its heap readings: ReadHeapCounters
-	// stops the world, which must not count as phase time.
-	h := obs.ReadHeapCounters()
-	t := time.Now()
-	sharing := osa.AnalyzeWith(a, opts.Obs)
-	osaTime := time.Since(t)
-	opts.Obs.HeapGauges("osa", h)
-	h = obs.ReadHeapCounters()
-	t = time.Now()
-	g := shb.Build(a, shb.Config{AndroidEvents: android, Obs: opts.Obs})
-	shbTime := time.Since(t)
-	opts.Obs.HeapGauges("shb", h)
-	h = obs.ReadHeapCounters()
-	t = time.Now()
-	rep := race.Detect(a, sharing, g, opts)
-	detectTime := time.Since(t)
-	opts.Obs.HeapGauges("detect", h)
+	var (
+		sharing *osa.Result
+		g       *shb.Graph
+		rep     *race.Report
+	)
+	osaTime := measurePhase(opts.Obs, "osa", func() { sharing = osa.AnalyzeWith(a, opts.Obs) })
+	shbTime := measurePhase(opts.Obs, "shb", func() {
+		g = shb.Build(a, shb.Config{AndroidEvents: android, Obs: opts.Obs})
+	})
+	detectTime := measurePhase(opts.Obs, "detect", func() { rep = race.Detect(a, sharing, g, opts) })
 	return DetectRun{
 		Sharing: sharing, Graph: g, Report: rep,
 		OSATime: osaTime, SHBTime: shbTime, Time: detectTime,

@@ -11,9 +11,10 @@ import (
 	"testing"
 
 	"o2/internal/ir"
+	"o2/internal/lang"
 	"o2/internal/obs"
 	"o2/internal/osa"
-	"o2/internal/workload"
+	"o2/internal/pta"
 )
 
 // TestGateMatchesCheckedInGolden runs the gate workloads once and checks
@@ -141,39 +142,48 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
+// exactSrc is a program whose OSA phase keeps at most 8 entries in each
+// of its maps: maps that small allocate the same way on every run and
+// every Go release, so the phase's allocation count is a constant and an
+// exact reading must reproduce it.
+const exactSrc = `
+class S { field v; }
+class W {
+  field s;
+  W(s) { this.s = s; }
+  run() { x = this.s; x.v = this; }
+}
+main {
+  s = new S();
+  w1 = new W(s);
+  w2 = new W(s);
+  w1.start();
+  w2.start();
+}
+`
+
 // TestGateAllocCountExact pins the gate's allocation reading to
-// testing.AllocsPerRun: the osa phase count that RunDetect records from
-// its phase-boundary heap counters equals the exact count of the same
-// call. Registries keep state (spans, gauges) that the phase allocates
-// into, so every measured call gets its own registry in the state the
-// gate's has at that point: fresh, after one PTA run.
+// testing.AllocsPerRun: the osa count measurePhase records (the reading
+// RunPTAObs and RunDetect take at every phase boundary) equals the exact
+// count of the same call.
 func TestGateAllocCountExact(t *testing.T) {
-	p, ok := workload.ByName("memcached")
-	if !ok {
-		t.Fatal("memcached preset missing")
-	}
 	entries := ir.DefaultEntryConfig()
-	prog := workload.Build(p, entries)
-	runs := make([]PTARun, 3)
-	regs := make([]*obs.Registry, 3)
-	for i := range runs {
-		regs[i] = obs.New()
-		runs[i] = RunPTAObs(prog, POPA, entries, 0, regs[i])
-		if runs[i].TimedOut {
-			t.Fatal("pta timed out")
-		}
+	prog, err := lang.Compile("exact.mini", exactSrc, entries)
+	if err != nil {
+		t.Fatal(err)
 	}
+	a := pta.New(prog, pta.Config{Policy: POPA, Entries: entries})
+	if err := a.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	run := func() { osa.AnalyzeWith(a, nil) }
+	run()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	o := Opts{Workers: 1, Obs: regs[0]}
-	RunDetect(runs[0].A, o.detectOpts(), false, o.pairs())
-	got := regs[0].Snapshot().Gauges["osa.heap_allocs"]
-	// AllocsPerRun(1, f) calls f twice: a warm-up, then the counted run.
-	next := 1
-	want := testing.AllocsPerRun(1, func() {
-		osa.AnalyzeWith(runs[next].A, regs[next])
-		next++
-	})
+	reg := obs.New()
+	measurePhase(reg, "osa", run)
+	got := reg.Snapshot().Gauges["osa.heap_allocs"]
+	want := testing.AllocsPerRun(10, run)
 	if got == 0 || float64(got) != want {
 		t.Fatalf("gate counted %d osa allocations, AllocsPerRun counts %v", got, want)
 	}
