@@ -92,11 +92,6 @@ type nodeCons struct {
 
 type edgeKey struct{ from, to NodeID }
 
-// edgeScan is the out-degree up to which addEdge finds a duplicate edge by
-// scanning the source's successor list. Most nodes never pass it; the
-// edges of those that do are also kept in a set.
-const edgeScan = 8
-
 // Analysis holds all state of one pointer-analysis run and is the query
 // interface used by OSA, SHB construction and the race detector.
 type Analysis struct {
@@ -111,7 +106,7 @@ type Analysis struct {
 	pts   []Bits
 	delta []Bits
 	succ  [][]NodeID
-	edges map[edgeKey]struct{} // edges of nodes with more than edgeScan successors
+	edges map[edgeKey]struct{}
 
 	// cons[n] is the index of node n's constraints in consLists plus one
 	// (0: none registered).
@@ -354,29 +349,12 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	if from == to {
 		return
 	}
-	succ := a.succ[from]
-	if len(succ) <= edgeScan {
-		for _, s := range succ {
-			if s == to {
-				return
-			}
-		}
-		if len(succ) == edgeScan {
-			// from becomes busy: from now on its duplicates are found in
-			// the edge set.
-			for _, s := range succ {
-				a.edges[edgeKey{from, s}] = struct{}{}
-			}
-			a.edges[edgeKey{from, to}] = struct{}{}
-		}
-	} else {
-		k := edgeKey{from, to}
-		if _, dup := a.edges[k]; dup {
-			return
-		}
-		a.edges[k] = struct{}{}
+	k := edgeKey{from, to}
+	if _, dup := a.edges[k]; dup {
+		return
 	}
-	a.succ[from] = append(succ, to)
+	a.edges[k] = struct{}{}
+	a.succ[from] = append(a.succ[from], to)
 	a.numEdges++
 	a.constraints++
 	if !a.pts[from].IsEmpty() {
