@@ -68,6 +68,12 @@ type GateReport struct {
 	// — i.e. regresses by more than 10% over the recorded baseline. Times
 	// are never gated; allocations are.
 	AllocBudgets map[string]AllocBudget `json:"alloc_budgets,omitempty"`
+	// AllocBudgetsGo is the Go release (e.g. "go1.24") the budgets were
+	// recorded with. Allocation counts depend on the runtime — before Go
+	// 1.24, map growth adds overflow buckets whose number depends on the
+	// hash seed — so the budgets gate only runs on that release (see
+	// gatesAllocs); other releases report their counts ungated.
+	AllocBudgetsGo string `json:"alloc_budgets_go,omitempty"`
 }
 
 // AllocBudget is one phase's allocation ceiling (objects and bytes).
@@ -118,6 +124,25 @@ func budgetFromMeasured(m map[string]AllocBudget) map[string]AllocBudget {
 		}
 	}
 	return out
+}
+
+// goRelease trims a toolchain version to its release: "go1.24.3" and
+// "go1.24.0" become "go1.24". Versions of another form (release
+// candidates, development builds) are returned whole.
+func goRelease(v string) string {
+	if i := strings.Index(v, "."); i >= 0 {
+		if j := strings.Index(v[i+1:], "."); j >= 0 {
+			return v[:i+1+j]
+		}
+	}
+	return v
+}
+
+// gatesAllocs reports whether budgets recorded with release rec gate a
+// run on toolchain version ver. A golden that names no release gates on
+// every toolchain.
+func gatesAllocs(rec, ver string) bool {
+	return rec == "" || rec == goRelease(ver)
 }
 
 // checkAllocBudgets fails if any measured phase exceeds its recorded
@@ -355,6 +380,7 @@ func Gate(w io.Writer, o Opts, goldenPath, statsPath string, update bool) error 
 	if update {
 		det := rep.Deterministic()
 		det.AllocBudgets = budgetFromMeasured(rep.measuredAllocs())
+		det.AllocBudgetsGo = goRelease(runtime.Version())
 		data, err := det.MarshalIndent()
 		if err != nil {
 			return err
@@ -375,6 +401,11 @@ func Gate(w io.Writer, o Opts, goldenPath, statsPath string, update bool) error 
 	var gr GateReport
 	if err := json.Unmarshal(golden, &gr); err != nil {
 		return fmt.Errorf("bench gate: bad golden file: %w", err)
+	}
+	if !gatesAllocs(gr.AllocBudgetsGo, runtime.Version()) {
+		fmt.Fprintf(w, "bench gate: ok (matches %s; its %d alloc budgets were recorded with %s and are not gated on %s) [allocs report-only]\n",
+			goldenPath, len(gr.AllocBudgets), gr.AllocBudgetsGo, runtime.Version())
+		return nil
 	}
 	if err := checkAllocBudgets(rep.measuredAllocs(), gr.AllocBudgets); err != nil {
 		return err

@@ -142,6 +142,39 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetsRelease pins which toolchains a golden's budgets gate:
+// every patch of the release they were recorded with, no other release,
+// and every toolchain when the golden names none.
+func TestAllocBudgetsRelease(t *testing.T) {
+	for _, c := range []struct {
+		rec, ver string
+		want     bool
+	}{
+		{"go1.24", "go1.24.0", true},
+		{"go1.24", "go1.24.9", true},
+		{"go1.24", "go1.23.4", false},
+		{"go1.24", "go1.22.12", false},
+		{"go1.24", "go1.25rc1", false},
+		{"go1.24", "devel go1.25-abcdef", false},
+		{"", "go1.22.1", true},
+	} {
+		if got := gatesAllocs(c.rec, c.ver); got != c.want {
+			t.Errorf("gatesAllocs(%q, %q) = %v, want %v", c.rec, c.ver, got, c.want)
+		}
+	}
+	golden, err := os.ReadFile("testdata/bench_gate_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gr GateReport
+	if err := json.Unmarshal(golden, &gr); err != nil {
+		t.Fatal(err)
+	}
+	if len(gr.AllocBudgets) > 0 && gr.AllocBudgetsGo == "" {
+		t.Fatal("golden has alloc budgets but does not name the Go release they were recorded with")
+	}
+}
+
 // exactSrc is a program whose OSA phase keeps at most 8 entries in each
 // of its maps: maps that small allocate the same way on every run and
 // every Go release, so the phase's allocation count is a constant and an
