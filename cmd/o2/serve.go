@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -96,7 +95,7 @@ func runServe(args []string) int {
 	fmt.Fprintf(os.Stderr, "o2 serve: listening on http://%s (workers=%d queue=%d cache=%d)\n",
 		bound, s.Stats().Workers, *queue, *cache)
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := srv.HTTPServer()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

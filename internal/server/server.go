@@ -17,6 +17,12 @@
 // structured access log; latency lands in the server.request_seconds
 // histogram that /metrics exports.
 //
+// Responses are compact JSON, each written in one piece with its
+// Content-Length. A job view is written by sched.Job.AppendView from the
+// summary bytes the job stores, so no response encodes a summary again.
+// A job the scheduler's bounded history has forgotten reads as unknown
+// (404). POST /analyze bodies are capped at maxAnalyzeBody (413).
+//
 // The handler is plain net/http over sched.Scheduler; it owns no state
 // beyond its metrics registry, so it is safe to serve from multiple
 // listeners.
@@ -211,21 +217,56 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON writes v as compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		code, b = http.StatusInternalServerError, []byte(`{"error":"response does not encode","kind":"internal"}`)
+	}
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeView writes a job's view, encoded from its stored summary bytes.
+func writeView(w http.ResponseWriter, code int, job *sched.Job) {
+	writeBody(w, code, append(job.AppendView(nil), '\n'))
+}
+
+// writeBody writes a JSON body in one write, with its Content-Length.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, code int, kind sched.ErrKind, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Kind: kind})
 }
 
+// maxAnalyzeBody caps a POST /analyze body. Larger bodies are refused
+// with 413 before they are read in full.
+const maxAnalyzeBody = 8 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers on the http.Server that HTTPServer builds.
+const readHeaderTimeout = 10 * time.Second
+
+// HTTPServer returns the http.Server `o2 serve` runs the handler under.
+// Its header read is bounded, so a client that never finishes its
+// headers cannot hold a connection open.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnalyzeBody)).Decode(&req); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, sched.KindTooLarge,
+				"request body over %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, sched.KindParse, "bad request body: %s", err)
 		return
 	}
@@ -269,15 +310,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait {
-		if _, err := s.sched.Wait(r.Context(), job.ID); err != nil {
+		select {
+		case <-job.Done():
+		case <-r.Context().Done():
 			// Client went away; the job keeps running server-side.
-			writeError(w, http.StatusRequestTimeout, sched.KindCanceled, "wait interrupted: %s", err)
+			writeError(w, http.StatusRequestTimeout, sched.KindCanceled, "wait interrupted: %s", r.Context().Err())
 			return
 		}
-		writeJSON(w, http.StatusOK, job.View())
+		writeView(w, http.StatusOK, job)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.View())
+	writeView(w, http.StatusAccepted, job)
 }
 
 // handleBatch streams a corpus through the analysis pipeline: the
@@ -375,7 +418,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		_ = sum.Stats.WriteTrace(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.View())
+	writeView(w, http.StatusOK, job)
 }
 
 // handleJobEvents streams a job's live progress as chunked NDJSON: one
@@ -424,7 +467,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-job.Done():
-			_ = cw.Write(job.View())
+			_, _ = w.Write(append(job.AppendView(nil), '\n'))
 			if fl != nil {
 				fl.Flush()
 			}
@@ -440,7 +483,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Jobs())
+	buf := []byte{'['}
+	for i, job := range s.sched.Jobs() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = job.AppendView(buf)
+	}
+	writeBody(w, http.StatusOK, append(buf, "]\n"...))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -458,6 +508,8 @@ func (s *Server) mirrorSchedStats() sched.Stats {
 	s.reg.Counter("sched.failed").Set(st.Failed)
 	s.reg.Counter("sched.canceled").Set(st.Canceled)
 	s.reg.Counter("sched.rejected").Set(st.Rejected)
+	s.reg.Counter("sched.jobs_evicted").Set(st.JobsEvicted)
+	s.reg.SetGauge("sched.jobs_retained", int64(st.JobsRetained))
 	s.reg.Counter("sched.cache_hits").Set(st.CacheHits)
 	s.reg.Counter("sched.cache_misses").Set(st.CacheMisses)
 	s.reg.Counter("sched.cache_evictions").Set(st.CacheEvictions)
