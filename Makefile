@@ -8,7 +8,7 @@
 #   make bench-gate  deterministic pipeline stats vs checked-in golden
 #   make fuzz        short fuzz session on the minilang frontend
 #   make bench       sequential-vs-parallel detection speedup benchmark
-#   make bench-layers detect, witness, PTA, OSA and SHB benchmarks, 10 runs each
+#   make bench-layers detect, witness, PTA, OSA, SHB and /analyze benchmarks, 10 runs each
 #
 # The checked-in fuzz corpus under internal/lang/testdata/fuzz is replayed
 # by the plain `go test` runs, so regressions on past findings fail `ci`.
@@ -58,6 +58,8 @@ bench:
 # each layer's time is visible (compare two runs with benchstat):
 # detection on zookeeper, witness building plus JSON on sqlite3, and the
 # pointer analysis, origin-sharing analysis and SHB construction on the
-# Linux model.
+# Linux model; and a waited POST /analyze through the HTTP stack, as a
+# cache hit and as a miss.
 bench-layers:
 	$(GO) test -run=NONE -bench='^(BenchmarkDetectAllocs|BenchmarkWitnesses|BenchmarkPTASolve|BenchmarkOSA|BenchmarkSHBBuild)$$' -benchmem -count=10 .
+	$(GO) test -run=NONE -bench='^BenchmarkAnalyzeWait$$' -benchmem -count=10 ./internal/server/
