@@ -363,7 +363,7 @@ var benchSink int
 // BenchmarkFigure2 measures the paper's running example end to end.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := o2.AnalyzeSource("figure2.mini", cases.Figure2, o2.DefaultConfig())
+		res, err := o2.AnalyzeSources(context.Background(), []o2.Source{{Name: "figure2.mini", Bytes: []byte(cases.Figure2)}}, o2.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -154,12 +154,16 @@ func cancelInPairLoop(t *testing.T, cfg Config) time.Duration {
 	}
 }
 
-// TestAnalyzeSourceCtxCancel: the source-level entry point honors the
-// context too (cancellation during analysis, after a successful compile).
+// fig2 is the Figure 2 program as a one-source input.
+var fig2 = []Source{{Name: "fig2.mini", Bytes: []byte(cases.Figure2)}}
+
+// TestAnalyzeSourceCtxCancel: the source-level entry point, AnalyzeSources,
+// honors the context too (cancellation during analysis, after a
+// successful compile).
 func TestAnalyzeSourceCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AnalyzeSourceCtx(ctx, "fig2.mini", cases.Figure2, DefaultConfig())
+	_, err := AnalyzeSources(ctx, fig2, DefaultConfig())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -168,7 +172,7 @@ func TestAnalyzeSourceCtxCancel(t *testing.T) {
 // TestUncanceledRunUnaffected: a background context changes nothing — the
 // Figure 2 race is still found.
 func TestUncanceledRunUnaffected(t *testing.T) {
-	res, err := AnalyzeSourceCtx(context.Background(), "fig2.mini", cases.Figure2, DefaultConfig())
+	res, err := AnalyzeSources(context.Background(), fig2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

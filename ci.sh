@@ -38,12 +38,9 @@ bench_variance() {
 # recall must be 1.0 and precision at or above the checked-in baseline,
 # then the metamorphic suite must leave every canonical race-report set
 # invariant (all source transforms x the corpus, all IR transforms x
-# three workload presets), and the same recall-1.0 gate must hold for
-# the corpus scored through warm incremental summary replay. See
-# `o2 eval -h`.
+# three workload presets). See `o2 eval -h`.
 eval_gate() {
 	go run ./cmd/o2 eval -metamorphic
-	go run ./cmd/o2 eval -incremental
 }
 
 # End-to-end smoke of the batch-analysis service: build the CLI, start
@@ -131,28 +128,15 @@ telemetry() {
 	done <"$dir/progress.ndjson"
 	grep -q '"progress":true' "$dir/progress.ndjson" || { echo "telemetry: stream has no progress records" >&2; exit 1; }
 
-	# Introspection report on the zookeeper preset: well-formed, carries
-	# the per-origin top-K, and its deterministic projection (run-dependent
-	# wall/byte/cache fields stripped) is byte-identical across two runs.
+	# Introspection report on the zookeeper preset: well-formed and
+	# carries the per-origin top-K. Byte stability of its deterministic
+	# projection is pinned by TestIntrospectionByteStability.
 	rc=0
-	go run ./cmd/o2 analyze -preset zookeeper -stats-json "$dir/zk1.json" >/dev/null || rc=$?
+	go run ./cmd/o2 analyze -preset zookeeper -stats-json "$dir/zk.json" >/dev/null || rc=$?
 	[ "$rc" -eq 1 ] || { echo "telemetry: zookeeper exit=$rc, want 1" >&2; exit 1; }
-	go run ./cmd/o2 analyze -preset zookeeper -stats-json "$dir/zk2.json" >/dev/null || true
-	python3 -m json.tool "$dir/zk1.json" >/dev/null || { echo "telemetry: stats JSON invalid" >&2; exit 1; }
-	grep -q '"introspection"' "$dir/zk1.json" || { echo "telemetry: stats missing introspection section" >&2; exit 1; }
-	grep -q '"top_k"' "$dir/zk1.json" || { echo "telemetry: introspection missing top-K attribution" >&2; exit 1; }
-	python3 -c "
-import json, sys
-def det(path):
-    i = json.load(open(path))['introspection']
-    for k in ('pta_wall_ns','shb_wall_ns','detect_wall_ns','arena_bytes','reach_hits','reach_misses'):
-        i.pop(k, None)
-    for c in i.get('top_k', []):
-        for k in ('pta_share_ns','shb_share_ns','detect_share_ns','arena_bytes'):
-            c.pop(k, None)
-    return json.dumps(i, sort_keys=True)
-sys.exit(0 if det('$dir/zk1.json') == det('$dir/zk2.json') else 1)
-" || { echo "telemetry: introspection projection differs across runs" >&2; exit 1; }
+	python3 -m json.tool "$dir/zk.json" >/dev/null || { echo "telemetry: stats JSON invalid" >&2; exit 1; }
+	grep -q '"introspection"' "$dir/zk.json" || { echo "telemetry: stats missing introspection section" >&2; exit 1; }
+	grep -q '"top_k"' "$dir/zk.json" || { echo "telemetry: introspection missing top-K attribution" >&2; exit 1; }
 
 	trap - EXIT
 	rm -rf "$dir"
@@ -219,8 +203,7 @@ fmt_gate
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/pta/ ./internal/osa/ ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/ring/ ./internal/obs/ ./internal/sched/ ./internal/server/ ./internal/summary/ ./internal/corpus/
-go test -race -run 'TestIncrementalConcurrentStore' ./internal/truth/
+go test -race ./internal/pta/ ./internal/osa/ ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/ring/ ./internal/obs/ ./internal/sched/ ./internal/server/ ./internal/corpus/
 go test -race -run 'TestAnalyzeCorpus' .
 cover
 smoke

@@ -15,7 +15,6 @@ import (
 	"o2/internal/lang"
 	"o2/internal/obs"
 	"o2/internal/race"
-	"o2/internal/summary"
 	"o2/internal/workload"
 )
 
@@ -42,7 +41,6 @@ func runAnalyze(args []string) int {
 	deadlocks := fs.Bool("deadlock", false, "also run the lock-order deadlock analysis")
 	explain := fs.Bool("explain", false, "print a witness for each race (spawn sites, locksets, ordering)")
 	dumpIR := fs.Bool("dump-ir", false, "dump the lowered IR and exit")
-	incremental := fs.Bool("incremental", false, "analyze through per-unit summary reuse (identical report; reuse stats under -stats)")
 	oversyncF := fs.Bool("oversync", false, "also report lock regions guarding only origin-local data")
 	preset := fs.String("preset", "", "analyze a built-in benchmark preset (e.g. zookeeper) instead of source files")
 	progressF := fs.Bool("progress", false, "stream live phase/pair progress to stderr while the analysis runs")
@@ -115,7 +113,7 @@ func runAnalyze(args []string) int {
 			prog.Print(os.Stdout)
 			return exitOK
 		}
-		res, err = o2.AnalyzeProgram(prog, cfg)
+		res, err = o2.Analyze(context.Background(), prog, cfg)
 		if err != nil {
 			return fail(exitCode(err), err)
 		}
@@ -130,17 +128,7 @@ func runAnalyze(args []string) int {
 	if err != nil {
 		return fail(exitUsage, err)
 	}
-	switch {
-	case *incremental && !*dumpIR:
-		// One-shot incremental run against a fresh store: every unit is a
-		// cold miss, but the report (and the exit code) is identical to
-		// the full pipeline by construction, and the inc.* counters land
-		// in RunStats. Long-lived reuse lives in `o2 serve`/`o2 batch`.
-		res, err = o2.AnalyzeIncremental(context.Background(), files, cfg, summary.NewStore(0))
-		if err != nil {
-			return fail(exitCode(err), err)
-		}
-	case *dumpIR:
+	if *dumpIR {
 		// The one frontend that needs the compiled program itself rather
 		// than an analysis of it.
 		prog, err := lang.CompileFiles(files, cfg.Entries)
@@ -149,15 +137,14 @@ func runAnalyze(args []string) int {
 		}
 		prog.Print(os.Stdout)
 		return exitOK
-	default:
-		srcs := make([]o2.Source, 0, len(fs.Args()))
-		for _, name := range fs.Args() {
-			srcs = append(srcs, o2.Source{Name: name, Bytes: []byte(files[name])})
-		}
-		res, err = o2.AnalyzeSources(context.Background(), srcs, cfg)
-		if err != nil {
-			return fail(exitCode(err), err)
-		}
+	}
+	srcs := make([]o2.Source, 0, len(fs.Args()))
+	for _, name := range fs.Args() {
+		srcs = append(srcs, o2.Source{Name: name, Bytes: []byte(files[name])})
+	}
+	res, err = o2.AnalyzeSources(context.Background(), srcs, cfg)
+	if err != nil {
+		return fail(exitCode(err), err)
 	}
 
 	return reportAnalyze(res, analyzeOutput{
@@ -257,11 +244,6 @@ func reportAnalyze(res *o2.Result, out analyzeOutput) int {
 		fmt.Printf("times: pta=%v osa=%v shb=%v detect=%v total=%v\n",
 			res.PTATime, res.OSATime, res.SHBTime, res.DetectTime, res.TotalTime())
 		fmt.Printf("shb: %s, %d lock regions\n", res.Graph, res.Graph.Regions)
-		if res.Inc != nil {
-			fmt.Printf("incremental: units=%d reused=%d recomputed=%d dirty=%.2f fallback=%v\n",
-				res.Inc.UnitsTotal, res.Inc.UnitsReused, res.Inc.UnitsRecomputed,
-				res.Inc.DirtyRatio(), res.Inc.Fallback)
-		}
 		fmt.Println()
 	}
 

@@ -12,7 +12,6 @@ import (
 	"o2"
 	"o2/internal/corpus"
 	"o2/internal/sched"
-	"o2/internal/summary"
 )
 
 // runBatch analyzes a corpus of minilang programs (each file is one
@@ -41,7 +40,6 @@ func runBatch(args []string) int {
 	window := fs.Int("window", 0, "-stream reorder window in programs (0 = 2x jobs)")
 	repeat := fs.Int("repeat", 1, "submit each program N times (exercises the result cache)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-program deadline (0 = none)")
-	incremental := fs.Bool("incremental", false, "reuse per-unit summaries across programs (two-level cache)")
 	stream := fs.Bool("stream", false, "emit one NDJSON record per program, in input order")
 	runStats := fs.Bool("run-stats", false, "with -stream: attach the full RunStats report to every record")
 	progressEvery := fs.Duration("progress-interval", 0, "with -stream: interleave a schema-tagged progress record at most this often (0 = off)")
@@ -93,24 +91,21 @@ func runBatch(args []string) int {
 			jobs:          *jobs,
 			window:        *window,
 			timeout:       *jobTimeout,
-			incremental:   *incremental,
 			runStats:      *runStats,
 			progressEvery: *progressEvery,
 		})
 	}
 	return runBatchEager(it, cfg, batchEagerOpts{
-		jobs:        *jobs,
-		queue:       *queue,
-		timeout:     *jobTimeout,
-		incremental: *incremental,
-		asJSON:      *asJSON,
+		jobs:    *jobs,
+		queue:   *queue,
+		timeout: *jobTimeout,
+		asJSON:  *asJSON,
 	})
 }
 
 type batchEagerOpts struct {
 	jobs, queue int
 	timeout     time.Duration
-	incremental bool
 	asJSON      bool
 }
 
@@ -122,7 +117,6 @@ func runBatchEager(it corpus.Iterator, cfg o2.Config, opts batchEagerOpts) int {
 		Workers:        opts.jobs,
 		QueueDepth:     opts.queue,
 		DefaultTimeout: opts.timeout,
-		Incremental:    opts.incremental,
 	})
 
 	type item struct {
@@ -214,7 +208,6 @@ func runBatchEager(it corpus.Iterator, cfg o2.Config, opts batchEagerOpts) int {
 type batchStreamOpts struct {
 	jobs, window  int
 	timeout       time.Duration
-	incremental   bool
 	runStats      bool
 	progressEvery time.Duration
 }
@@ -232,9 +225,6 @@ func runBatchStream(it corpus.Iterator, cfg o2.Config, opts batchStreamOpts) int
 		Window:         opts.window,
 		ProgramTimeout: opts.timeout,
 		CollectStats:   opts.runStats,
-	}
-	if opts.incremental {
-		ccfg.Store = summary.NewStore(0)
 	}
 
 	worst := exitOK

@@ -24,18 +24,9 @@
 // outcome under the same table: a corpus with one unparsable program
 // and ten clean ones exits 3, but all ten are still analyzed and
 // reported — per-program failure lands in that program's table row or
-// NDJSON record (exit_class), never aborts the batch.
-//
-// The -incremental flag (on analyze, serve, batch and eval) routes
-// analyses through per-unit summary reuse. It never changes the exit
-// code contract: the race report is identical to a full analysis by
-// construction — change classes summaries cannot express fall back to
-// whole-program compilation, never to different results — so exit 0/1
-// mean exactly what they mean without the flag, compile errors still
-// exit 3 (incremental front-end failures are typed o2.ErrCompile), and
-// budget/cancel exhaustion still exit 4/5. The only observable
-// difference is speed and the inc.* reuse counters in -stats output,
-// RunStats and /metrics.
+// NDJSON record (exit_class), never aborts the batch. Compile errors
+// from every entry point are typed o2.ErrCompile (or sched.ErrParse on
+// the scheduler path) and exit 3.
 package main
 
 import (

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,7 +71,7 @@ main {
 `
 
 func main() {
-	res, err := o2.AnalyzeSource("cserver.mini", server, o2.DefaultConfig())
+	res, err := o2.AnalyzeSources(context.Background(), []o2.Source{{Name: "cserver.mini", Bytes: []byte(server)}}, o2.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ func main() {
 	} {
 		cfg := o2.DefaultConfig()
 		cfg.Android = mode.android
-		res, err := o2.AnalyzeSource("eventapp.mini", app, cfg)
+		res, err := o2.AnalyzeSources(context.Background(), []o2.Source{{Name: "eventapp.mini", Bytes: []byte(app)}}, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

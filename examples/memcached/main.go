@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,9 @@ func main() {
 	c := cases.MemcachedCase
 	fmt.Printf("Memcached case study: %s\n\n", c.About)
 
-	res, err := o2.AnalyzeSource("memcached.mini", c.Source, o2.DefaultConfig())
+	ctx := context.Background()
+	srcs := []o2.Source{{Name: "memcached.mini", Bytes: []byte(c.Source)}}
+	res, err := o2.AnalyzeSources(ctx, srcs, o2.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func main() {
 		JoinMethods:   []string{"join"},
 		// no event entries: handleEvent is just a method call on main
 	}
-	resT, err := o2.AnalyzeSource("memcached.mini", c.Source, threadsOnly)
+	resT, err := o2.AnalyzeSources(ctx, srcs, threadsOnly)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func main() {
 		EventEntries:  []string{"handleEvent", "onReceive"},
 		JoinMethods:   []string{"join"},
 	}
-	resE, err := o2.AnalyzeSource("memcached.mini", c.Source, eventsOnly)
+	resE, err := o2.AnalyzeSources(ctx, srcs, eventsOnly)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,10 +44,6 @@ type GateReport struct {
 	// must not drop — rather than against the golden file, so it is
 	// stripped from the deterministic projection like Batch.
 	Eval *truth.EvalReport `json:"eval,omitempty"`
-	// Inc is the report-only warm-incremental section: cold/warm latency,
-	// dirty-unit ratio and speedup after a one-unit edit on three corpus
-	// programs. Latency-dependent, so never golden-gated.
-	Inc *IncGateStats `json:"incremental,omitempty"`
 	// Corpus is the report-only streamed-vs-eager throughput section over
 	// the truth corpus (see CorpusGateStats). All timing, never gated —
 	// but computing it hard-fails if the streaming pipeline's race counts
@@ -223,11 +219,6 @@ func RunGate(o Opts) (*GateReport, error) {
 		return nil, fmt.Errorf("bench gate: eval: %w", err)
 	}
 	rep.Eval = ev
-	inc, err := RunIncGate()
-	if err != nil {
-		return nil, fmt.Errorf("bench gate: incremental: %w", err)
-	}
-	rep.Inc = inc
 	corpus, err := RunCorpusGate(0)
 	if err != nil {
 		return nil, fmt.Errorf("bench gate: corpus: %w", err)
@@ -348,12 +339,6 @@ func Gate(w io.Writer, o Opts, goldenPath, statsPath string, update bool) error 
 		fmt.Fprintf(w, "bench gate: batch %d jobs @ %.1f jobs/s (cache %d/%d, warm hit %s) [report-only]\n",
 			rep.Batch.Jobs, rep.Batch.JobsPerSec, rep.Batch.CacheHits,
 			rep.Batch.CacheHits+rep.Batch.CacheMisses, time.Duration(rep.Batch.WarmHitNS))
-	}
-	if rep.Inc != nil {
-		for _, p := range rep.Inc.Presets {
-			fmt.Fprintf(w, "bench gate: incremental %-20s warm=%-10v dirty=%.2f (%d/%d units) speedup=%.1fx [report-only]\n",
-				p.Name, time.Duration(p.WarmNS), p.DirtyRatio, p.UnitsRecomputed, p.UnitsTotal, p.Speedup)
-		}
 	}
 	if rep.Corpus != nil {
 		fmt.Fprintf(w, "bench gate: corpus %d programs eager %.1f/s stream %.1f/s (workers=%d, races=%d) [report-only]\n",

@@ -150,22 +150,6 @@ func (f *Func) Var(name string) *Var {
 	return v
 }
 
-// ResetBody clears the function's body, locals and return variable,
-// keeping only the declared parameters (with their original IDs). A
-// failed fragment replay resets the shell with it before falling back
-// to re-lowering the body from source.
-func (f *Func) ResetBody() {
-	f.Body = nil
-	f.Ret = nil
-	params := f.Params
-	f.Params = nil
-	f.Locals = nil
-	f.vars = map[string]*Var{}
-	for _, p := range params {
-		f.Params = append(f.Params, f.Var(p.Name))
-	}
-}
-
 // Program is a whole analyzable program.
 type Program struct {
 	Classes map[string]*Class

@@ -29,28 +29,30 @@ func CompileFiles(files map[string]string, entries ir.EntryConfig) (*ir.Program,
 		}
 		asts = append(asts, f)
 	}
-	sh, err := Declare(asts, entries)
+	lw, err := declare(asts, entries)
 	if err != nil {
 		return nil, err
 	}
 	for _, f := range asts {
+		lw.file = f.Name
 		for _, cd := range f.Classes {
+			c := lw.prog.Classes[cd.Name]
 			for _, md := range cd.Methods {
-				if err := sh.LowerMethod(f.Name, cd.Name, md); err != nil {
+				if err := lw.lowerBody(c.Methods[md.Name], md); err != nil {
 					return nil, err
 				}
 			}
 		}
 		for _, fd := range f.Funcs {
-			if err := sh.LowerFunc(f.Name, fd); err != nil {
+			if err := lw.lowerBody(lw.freeFns[fd.Name], fd); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := sh.prog.Finalize(entries); err != nil {
+	if err := lw.prog.Finalize(entries); err != nil {
 		return nil, err
 	}
-	return sh.prog, nil
+	return lw.prog, nil
 }
 
 type lowerer struct {
@@ -62,12 +64,73 @@ type lowerer struct {
 	tmp     int // per-body temp counter (reset in lowerBody)
 }
 
+// declare runs the declaration pass over the parsed files: classes,
+// fields and method/function shells are created so that all references
+// resolve regardless of declaration order, and the inheritance graph is
+// checked for cycles. Bodies are not lowered.
+func declare(asts []*File, entries ir.EntryConfig) (*lowerer, error) {
+	lw := &lowerer{
+		prog:    ir.NewProgram(),
+		entries: entries,
+		statics: map[string]bool{},
+		freeFns: map[string]*ir.Func{},
+	}
+	for _, f := range asts {
+		for _, cd := range f.Classes {
+			c := lw.prog.Class(cd.Name)
+			if cd.Super != "" {
+				c.Super = lw.prog.Class(cd.Super)
+			}
+			for _, fd := range cd.Fields {
+				if fd.Static {
+					sig := cd.Name + "." + fd.Name
+					lw.statics[sig] = true
+					lw.prog.Statics = append(lw.prog.Statics, sig)
+					if fd.Volatile {
+						lw.prog.VolatileStatics[sig] = true
+					}
+				} else {
+					c.Fields = append(c.Fields, fd.Name)
+					if fd.Volatile {
+						c.Volatiles[fd.Name] = true
+					}
+				}
+			}
+			for _, md := range cd.Methods {
+				if c.Methods[md.Name] != nil {
+					return nil, fmt.Errorf("%s: duplicate method %s.%s", f.Name, cd.Name, md.Name)
+				}
+				fn := lw.prog.NewFunc(c, md.Name, md.Params...)
+				fn.OriginEntry = md.Origin
+			}
+		}
+		for _, fd := range f.Funcs {
+			if lw.freeFns[fd.Name] != nil {
+				return nil, fmt.Errorf("%s: duplicate function %s", f.Name, fd.Name)
+			}
+			lw.freeFns[fd.Name] = lw.prog.NewFunc(nil, fd.Name, fd.Params...)
+		}
+	}
+	// The Super chains must be acyclic: field/volatile lookups and method
+	// resolution walk them to nil.
+	for _, f := range asts {
+		for _, cd := range f.Classes {
+			seen := map[string]bool{}
+			for c := lw.prog.Class(cd.Name); c != nil; c = c.Super {
+				if seen[c.Name] {
+					return nil, fmt.Errorf("%s:%d: inheritance cycle through class %s", f.Name, cd.Line, c.Name)
+				}
+				seen[c.Name] = true
+			}
+		}
+	}
+	return lw, nil
+}
+
 func (lw *lowerer) lowerBody(fn *ir.Func, fd *FuncDecl) error {
-	// Temps are numbered per body, not per program, so that a body
-	// lowered in isolation (incremental per-unit compilation) is
-	// instruction-identical to the same body lowered as part of the
-	// whole program. Variable identity is per-function in the IR, so
-	// reusing $t1 across bodies never collides.
+	// Temps are numbered per body, not per program: variable identity
+	// is per-function in the IR, so reusing $t1 across bodies never
+	// collides.
 	lw.tmp = 0
 	b := ir.NewB(fn)
 	b.At(ir.Pos{File: lw.file, Line: fd.Line})

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -25,70 +24,6 @@ func Format(f *File) (string, map[int]int) {
 	for _, fd := range f.Funcs {
 		p.fileFunc(fd)
 	}
-	return p.b.String(), p.lines
-}
-
-// FormatClassShell renders a class declaration's shell — header, field
-// declarations and method signatures, but no method bodies — as
-// canonical text. Incremental analysis digests it as the content of a
-// class unit: two classes with the same shell text declare the same
-// fields, statics, volatiles, super edge and method set. Method
-// signatures print in sorted order because method resolution is by
-// name: reordering methods must not dirty the shell.
-func FormatClassShell(cd *ClassDecl) (string, map[int]int) {
-	p := &printer{lines: map[int]int{}}
-	head := "class " + cd.Name
-	if cd.Super != "" {
-		head += " extends " + cd.Super
-	}
-	p.emit(cd.Line, 0, head+" {")
-	for _, fl := range cd.Fields {
-		mods := ""
-		if fl.Static {
-			mods += "static "
-		}
-		if fl.Volatile {
-			mods += "volatile "
-		}
-		p.emit(fl.Line, 1, mods+"field "+fl.Name+";")
-	}
-	sigs := make([]string, 0, len(cd.Methods))
-	for _, m := range cd.Methods {
-		head := ""
-		if m.Origin {
-			head = "origin "
-		}
-		sigs = append(sigs, fmt.Sprintf("%s%s(%s);", head, m.Name, strings.Join(m.Params, ", ")))
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		p.emit(0, 1, sig)
-	}
-	p.emit(0, 0, "}")
-	return p.b.String(), p.lines
-}
-
-// FormatMethodDecl renders one method declaration (header and body) as
-// canonical text, with the printed-line→source-line map. The unit layer
-// digests the text together with the line offsets so that a cached
-// instruction fragment is only reused when positions replay exactly.
-func FormatMethodDecl(md *FuncDecl) (string, map[int]int) {
-	p := &printer{lines: map[int]int{}}
-	head := ""
-	if md.Origin {
-		head = "origin "
-	}
-	p.emit(md.Line, 0, fmt.Sprintf("%s%s(%s) {", head, md.Name, strings.Join(md.Params, ", ")))
-	p.stmts(md.Body, 1)
-	p.emit(0, 0, "}")
-	return p.b.String(), p.lines
-}
-
-// FormatFuncDecl renders one free-function declaration as canonical
-// text, with the printed-line→source-line map (see FormatMethodDecl).
-func FormatFuncDecl(fd *FuncDecl) (string, map[int]int) {
-	p := &printer{lines: map[int]int{}}
-	p.fileFunc(fd)
 	return p.b.String(), p.lines
 }
 

@@ -2,11 +2,8 @@ package sched
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
-
-	"o2"
 )
 
 // lru is the bounded result cache: a classic map + intrusive-list LRU
@@ -30,7 +27,6 @@ type lru struct {
 type lruEntry struct {
 	key  string
 	res  result
-	at   int // where the variant inserts the flag
 	once sync.Once
 	hit  result
 }
@@ -38,26 +34,17 @@ type lruEntry struct {
 // cachedFlag is the field that marks a summary as cache-served.
 const cachedFlag = `,"cached":true`
 
-// cachedAt is the offset in an encoded summary where its cached:true
-// variant carries the flag. Cached is encoded after every field but the
-// incremental stats, so the flag goes just before those.
-func cachedAt(b []byte, inc *o2.IncStats) int {
-	at := len(b) - len("}")
-	if inc != nil {
-		tail, _ := json.Marshal(inc) // integers, booleans and a string: cannot fail
-		at -= len(`,"incremental":`) + len(tail)
-	}
-	return at
-}
-
 // hitResult returns the cached:true variant of the entry's summary. It
-// is the stored bytes with the flag copied in, not a second encoding.
+// is the stored bytes with the flag copied in, not a second encoding:
+// Cached is a summary's last field, so the flag goes just before the
+// closing brace.
 func (e *lruEntry) hitResult() result {
 	e.once.Do(func() {
+		at := len(e.res.json) - len("}")
 		b := make([]byte, 0, len(e.res.json)+len(cachedFlag))
-		b = append(b, e.res.json[:e.at]...)
+		b = append(b, e.res.json[:at]...)
 		b = append(b, cachedFlag...)
-		e.hit = result{json: append(b, e.res.json[e.at:]...), races: e.res.races}
+		e.hit = result{json: append(b, e.res.json[at:]...), races: e.res.races}
 	})
 	return e.hit
 }
@@ -86,11 +73,10 @@ func (c *lru) get(key string) (result, bool) {
 
 func (c *lru) miss() { c.misses.Add(1) }
 
-// put caches a cold run's encoded summary (inc is its incremental
-// stats), inserting or replacing the entry and evicting the least
-// recently used one when over capacity.
-func (c *lru) put(key string, res result, inc *o2.IncStats) {
-	e := &lruEntry{key: key, res: res, at: cachedAt(res.json, inc)}
+// put caches a cold run's encoded summary, inserting or replacing the
+// entry and evicting the least recently used one when over capacity.
+func (c *lru) put(key string, res result) {
+	e := &lruEntry{key: key, res: res}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

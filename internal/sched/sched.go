@@ -30,7 +30,6 @@ import (
 	"o2"
 	"o2/internal/obs"
 	"o2/internal/race"
-	"o2/internal/summary"
 )
 
 // Sentinel errors of the scheduler.
@@ -105,15 +104,6 @@ type Options struct {
 	// CollectStats gives every job its own obs.Registry and attaches the
 	// frozen RunStats report to the job summary.
 	CollectStats bool
-	// Incremental routes jobs through per-unit summary reuse: behind the
-	// whole-program result cache sits a shared unit-summary store, so a
-	// resubmission with one edited function replays every clean unit and
-	// lowers only the dirty ones. Reports are identical to the full
-	// pipeline by construction.
-	Incremental bool
-	// UnitCacheEntries bounds the per-unit summary store when Incremental
-	// is set (0 defaults to summary.DefaultStoreEntries).
-	UnitCacheEntries int
 	// Log receives structured job-lifecycle events (submit, cache hit,
 	// start, finish) with job/request IDs. Nil disables logging — every
 	// log site is a single nil check, mirroring the obs layer's design.
@@ -207,11 +197,9 @@ type Summary struct {
 	TotalNS  int64         `json:"total_ns"`
 	Stats    *obs.RunStats `json:"stats,omitempty"`
 	// Cached reports that this summary was served from the result cache;
-	// the timings are those of the original (cold) run.
+	// the timings are those of the original (cold) run. It stays the
+	// last field: the cache splices it in before the closing brace.
 	Cached bool `json:"cached,omitempty"`
-	// Inc reports per-unit summary reuse when the scheduler runs
-	// incrementally (nil on the whole-program path).
-	Inc *o2.IncStats `json:"incremental,omitempty"`
 }
 
 func summarize(res *o2.Result) *Summary {
@@ -224,7 +212,6 @@ func summarize(res *o2.Result) *Summary {
 		DetectNS: int64(res.DetectTime),
 		TotalNS:  int64(res.TotalTime()),
 		Stats:    res.RunStats,
-		Inc:      res.Inc,
 	}
 	races := res.Races()
 	witnesses := race.Witnesses(res.Analysis, res.Graph, res.Report)
@@ -436,15 +423,6 @@ type Stats struct {
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheEntries   int   `json:"cache_entries"`
-
-	// Unit* mirror the per-unit summary store (all zero unless the
-	// scheduler runs with Options.Incremental). A unit miss is exactly a
-	// dirty unit, so UnitMisses/(UnitHits+UnitMisses) is the fleet-wide
-	// dirty ratio.
-	UnitHits      int64 `json:"unit_hits,omitempty"`
-	UnitMisses    int64 `json:"unit_misses,omitempty"`
-	UnitEvictions int64 `json:"unit_evictions,omitempty"`
-	UnitEntries   int   `json:"unit_entries,omitempty"`
 }
 
 // Scheduler is the bounded-worker batch analysis service.
@@ -470,7 +448,6 @@ type Scheduler struct {
 	seq     int64
 
 	cache *lru
-	units *summary.Store // per-unit summaries behind the result cache; nil unless Options.Incremental
 	wg    sync.WaitGroup
 
 	submitted atomic.Int64
@@ -502,9 +479,6 @@ func New(opts Options) *Scheduler {
 	if opts.CacheEntries > 0 {
 		s.cache = newLRU(opts.CacheEntries)
 	}
-	if opts.Incremental {
-		s.units = summary.NewStore(opts.UnitCacheEntries)
-	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -512,16 +486,12 @@ func New(opts Options) *Scheduler {
 	return s
 }
 
-// cacheKey derives the result-cache key: the summary schema version,
-// then the SHA-256 of the sorted (filename, source) pairs combined with
-// the config fingerprint. Two requests collide only if both the full
-// source hash and every report-affecting config field agree. The schema
-// version sits in front of the whole-program key for the same reason it
-// sits inside every per-unit key: a binary with a different summary
-// format must never serve results cached by an older one.
+// cacheKey derives the result-cache key: the SHA-256 of the sorted
+// (filename, source) pairs combined with the config fingerprint. Two
+// requests collide only if both the full source hash and every
+// report-affecting config field agree.
 func cacheKey(req Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "schema:%d:", summary.Schema)
 	names := make([]string, 0, len(req.Files))
 	for n := range req.Files {
 		names = append(names, n)
@@ -807,11 +777,6 @@ func (s *Scheduler) Stats() Stats {
 		hits, misses, evictions, entries := s.cache.stats()
 		st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheEntries = hits, misses, evictions, entries
 	}
-	if s.units != nil {
-		ust := s.units.Stats()
-		st.UnitHits, st.UnitMisses, st.UnitEvictions, st.UnitEntries =
-			ust.Hits, ust.Misses, ust.Evictions, ust.Entries
-	}
 	return st
 }
 
@@ -916,27 +881,16 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 	}
 	cfg.Progress = prog
 
-	var res *o2.Result
-	var err error
-	if s.units != nil {
-		// Incremental: the whole-program cache above already missed, so
-		// replay clean units out of the shared summary store and lower
-		// only the dirty ones. Compile errors surface as o2.ErrCompile,
-		// which Classify maps to the parse kind.
-		res, err = o2.AnalyzeIncremental(ctx, req.Files, cfg, s.units)
-	} else {
-		res, err = o2.AnalyzeSources(ctx, sourcesOf(req.Files), cfg)
-	}
+	res, err := o2.AnalyzeSources(ctx, sourcesOf(req.Files), cfg)
 	if errors.Is(err, o2.ErrCompile) {
 		// Keep the scheduler's own parse sentinel on the job so clients
-		// branching on ErrParse keep working across both pipelines.
+		// branching on ErrParse keep working.
 		err = fmt.Errorf("%w: %v", ErrParse, err)
 	}
 	var out result
 	if err == nil {
-		sum := summarize(res)
-		if out, err = s.encode(sum); err == nil && s.cache != nil {
-			s.cache.put(key, out, sum.Inc)
+		if out, err = s.encode(summarize(res)); err == nil && s.cache != nil {
+			s.cache.put(key, out)
 		}
 	}
 	switch Classify(err) {

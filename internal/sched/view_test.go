@@ -101,24 +101,6 @@ func TestAppendViewMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestAppendViewIncremental covers the summary field only the
-// incremental path fills.
-func TestAppendViewIncremental(t *testing.T) {
-	s := New(Options{Workers: 1, Incremental: true, CollectStats: true})
-	defer s.Shutdown(context.Background())
-	for i := 0; i < 2; i++ {
-		j, err := s.Submit(req(genSource(4)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitDone(t, j)
-		checkView(t, j, Done)
-		if j.Summary().Inc == nil {
-			t.Fatal("incremental job has no IncStats")
-		}
-	}
-}
-
 // TestSummaryEncodedOnce pins the encoding budget: one encoding per
 // finished miss, none for a cache hit (its cached:true variant is the
 // stored bytes with the flag copied in) and none on any read of a job.

@@ -38,6 +38,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"time"
@@ -249,14 +251,20 @@ func writeError(w http.ResponseWriter, code int, kind sched.ErrKind, format stri
 const maxAnalyzeBody = 8 << 20
 
 // readHeaderTimeout bounds how long a client may take to send its
-// request headers on the http.Server that HTTPServer builds.
-const readHeaderTimeout = 10 * time.Second
+// request headers on the http.Server that HTTPServer builds;
+// idleTimeout bounds how long a keep-alive connection may sit idle
+// between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // HTTPServer returns the http.Server `o2 serve` runs the handler under.
-// Its header read is bounded, so a client that never finishes its
-// headers cannot hold a connection open.
+// Its header read and its keep-alive idle time are bounded, so a client
+// that never finishes its headers, or parks an idle connection, cannot
+// hold the connection open.
 func (s *Server) HTTPServer() *http.Server {
-	return &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -335,34 +343,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // step_budget, time_budget_ms, max_shb_nodes — plus the pipeline shape:
 // jobs (parallel programs), window (reorder window), timeout_ms
 // (per-program deadline), run_stats=1 (attach RunStats per record).
+// jobs is capped at GOMAXPROCS and window at batchWindowPerJob × jobs.
 //
 // The endpoint bypasses the job scheduler and its result cache: a
 // corpus run is a bulk scan, and letting it flood the job table or
 // evict the interactive cache would hurt the /analyze path it shares
 // the process with.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cr := ConfigRequest{
-		Context:         q.Get("context"),
-		K:               qInt(q.Get("k")),
-		Android:         qBool(q.Get("android")),
-		ReplicateEvents: qBool(q.Get("replicate_events")),
-		Workers:         qInt(q.Get("workers")),
-		StepBudget:      int64(qInt(q.Get("step_budget"))),
-		TimeBudgetMS:    int64(qInt(q.Get("time_budget_ms"))),
-		MaxSHBNodes:     qInt(q.Get("max_shb_nodes")),
-	}
-	cfg, err := cr.toConfig()
+	ccfg, err := batchConfig(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, sched.KindParse, "%s", err)
 		return
-	}
-	ccfg := o2.CorpusConfig{
-		Config:         cfg,
-		Workers:        qInt(q.Get("jobs")),
-		Window:         qInt(q.Get("window")),
-		ProgramTimeout: time.Duration(qInt(q.Get("timeout_ms"))) * time.Millisecond,
-		CollectStats:   qBool(q.Get("run_stats")),
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -391,6 +382,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if fl != nil {
 		fl.Flush()
 	}
+}
+
+// batchWindowPerJob caps a POST /batch reorder window at this many
+// programs per parallel job.
+const batchWindowPerJob = 4
+
+// batchConfig builds the corpus configuration of a POST /batch request
+// from its query parameters (see handleBatch).
+func batchConfig(q url.Values) (o2.CorpusConfig, error) {
+	cr := ConfigRequest{
+		Context:         q.Get("context"),
+		K:               qInt(q.Get("k")),
+		Android:         qBool(q.Get("android")),
+		ReplicateEvents: qBool(q.Get("replicate_events")),
+		Workers:         qInt(q.Get("workers")),
+		StepBudget:      int64(qInt(q.Get("step_budget"))),
+		TimeBudgetMS:    int64(qInt(q.Get("time_budget_ms"))),
+		MaxSHBNodes:     qInt(q.Get("max_shb_nodes")),
+	}
+	cfg, err := cr.toConfig()
+	if err != nil {
+		return o2.CorpusConfig{}, err
+	}
+	// AnalyzeCorpus starts jobs goroutines up front and the reorder
+	// window allocates window slots, so both are clamped to ceilings
+	// derived from the host's parallelism. Zero keeps the defaults.
+	maxJobs := runtime.GOMAXPROCS(0)
+	jobs := min(qInt(q.Get("jobs")), maxJobs)
+	maxWindow := batchWindowPerJob * maxJobs
+	if jobs > 0 {
+		maxWindow = batchWindowPerJob * jobs
+	}
+	return o2.CorpusConfig{
+		Config:         cfg,
+		Workers:        jobs,
+		Window:         min(qInt(q.Get("window")), maxWindow),
+		ProgramTimeout: time.Duration(qInt(q.Get("timeout_ms"))) * time.Millisecond,
+		CollectStats:   qBool(q.Get("run_stats")),
+	}, nil
 }
 
 func qInt(s string) int {
@@ -513,10 +543,6 @@ func (s *Server) mirrorSchedStats() sched.Stats {
 	s.reg.Counter("sched.cache_hits").Set(st.CacheHits)
 	s.reg.Counter("sched.cache_misses").Set(st.CacheMisses)
 	s.reg.Counter("sched.cache_evictions").Set(st.CacheEvictions)
-	s.reg.Counter("sched.unit_hits").Set(st.UnitHits)
-	s.reg.Counter("sched.unit_misses").Set(st.UnitMisses)
-	s.reg.Counter("sched.unit_evictions").Set(st.UnitEvictions)
-	s.reg.SetGauge("sched.unit_entries", int64(st.UnitEntries))
 	s.reg.SetGauge("sched.workers", int64(st.Workers))
 	s.reg.SetGauge("sched.queue_depth", int64(st.QueueLen))
 	s.reg.SetGauge("sched.queue_capacity", int64(st.QueueDepth))

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -649,6 +651,32 @@ func TestBatchBadConfig(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestBatchConfigClamp checks the ceilings POST /batch puts on the
+// client's jobs and window. It only builds the configuration: nothing
+// runs with the huge values.
+func TestBatchConfigClamp(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		jobs, window      string
+		wantJobs, wantWin int
+	}{
+		{"", "", 0, 0}, // defaults stay defaults
+		{"1", "2", 1, 2},
+		{"1000000", "1000000000", procs, batchWindowPerJob * procs},
+		{"1", "1000000000", 1, batchWindowPerJob},
+		{"", "1000000000", 0, batchWindowPerJob * procs},
+	} {
+		cfg, err := batchConfig(url.Values{"jobs": {tc.jobs}, "window": {tc.window}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Workers != tc.wantJobs || cfg.Window != tc.wantWin {
+			t.Errorf("jobs=%q window=%q: got jobs %d window %d, want %d and %d",
+				tc.jobs, tc.window, cfg.Workers, cfg.Window, tc.wantJobs, tc.wantWin)
+		}
 	}
 }
 

@@ -204,6 +204,9 @@ func TestReadHeaderTimeout(t *testing.T) {
 	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v", hs.ReadHeaderTimeout)
 	}
+	if hs.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v", hs.IdleTimeout)
+	}
 	hs.ReadHeaderTimeout = 50 * time.Millisecond // the same bound, shortened for the test
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func FuzzMetamorphic(f *testing.F) {
 			t.Skip("does not parse")
 		}
 		cfg := fuzzCfg()
-		res, err := o2.AnalyzeSource("fuzz.mini", src, cfg)
+		res, err := o2.AnalyzeSources(context.Background(), []o2.Source{{Name: "fuzz.mini", Bytes: []byte(src)}}, cfg)
 		if err != nil {
 			t.Skip("base program does not analyze") // semantic or budget error
 		}
@@ -71,7 +72,7 @@ func FuzzMetamorphic(f *testing.F) {
 		tr := trs[int(which)%len(trs)]
 		tr.Apply(file, ir.DefaultEntryConfig())
 		text, lines := lang.Format(file)
-		tres, err := o2.AnalyzeSource("fuzz.mini", text, cfg)
+		tres, err := o2.AnalyzeSources(context.Background(), []o2.Source{{Name: "fuzz.mini", Bytes: []byte(text)}}, cfg)
 		if err != nil {
 			if budgetErr(err) {
 				t.Skip("transformed program over budget")

@@ -103,7 +103,7 @@ func (p *Program) Config() o2.Config {
 
 // Analyze runs the full pipeline on the program under its configuration.
 func (p *Program) Analyze() (*o2.Result, error) {
-	return o2.AnalyzeSourceCtx(context.Background(), p.File, p.Source, p.Config())
+	return o2.AnalyzeSources(context.Background(), []o2.Source{p.AsSource()}, p.Config())
 }
 
 // AsSource returns the program in the typed form the streaming frontends

@@ -2,6 +2,7 @@ package o2
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"o2/internal/ir"
@@ -9,7 +10,9 @@ import (
 	"o2/internal/workload"
 )
 
-func analyzePresetStats(t *testing.T, preset string) *obs.RunStats {
+// analyzePresetStats analyzes a preset with observability on at the
+// given worker count (0 = GOMAXPROCS).
+func analyzePresetStats(t *testing.T, preset string, workers int) *obs.RunStats {
 	t.Helper()
 	p, ok := workload.ByName(preset)
 	if !ok {
@@ -17,8 +20,9 @@ func analyzePresetStats(t *testing.T, preset string) *obs.RunStats {
 	}
 	prog := workload.Build(p, ir.DefaultEntryConfig())
 	cfg := DefaultConfig()
+	cfg.Workers = workers
 	cfg.Obs = obs.New()
-	res, err := AnalyzeProgram(prog, cfg)
+	res, err := Analyze(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +33,7 @@ func analyzePresetStats(t *testing.T, preset string) *obs.RunStats {
 // stability test cannot express: the schema stamp, a populated ranked
 // top-K, and rank monotonicity.
 func TestIntrospectionShape(t *testing.T) {
-	in := analyzePresetStats(t, "avrora").Introspection
+	in := analyzePresetStats(t, "avrora", 0).Introspection
 	if in == nil {
 		t.Fatal("no introspection section with Obs configured")
 	}
@@ -70,20 +74,26 @@ func TestIntrospectionShape(t *testing.T) {
 	}
 }
 
-// TestIntrospectionByteStability runs the same workload twice at the
-// default (parallel) worker count and requires byte-identical
-// deterministic projections — the property CI leans on to diff
-// introspection reports across runs.
+// TestIntrospectionByteStability runs each workload twice and requires
+// byte-identical deterministic projections — the property that lets
+// introspection reports be diffed across runs. zookeeper runs at
+// Workers=1 and at the default (parallel) worker count.
 func TestIntrospectionByteStability(t *testing.T) {
-	first, err := analyzePresetStats(t, "avrora").Deterministic().MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := analyzePresetStats(t, "avrora").Deterministic().MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("deterministic projections differ across runs\nfirst:\n%s\nsecond:\n%s", first, second)
+	for _, tc := range []struct {
+		preset  string
+		workers int
+	}{{"avrora", 0}, {"zookeeper", 1}, {"zookeeper", 0}} {
+		first, err := analyzePresetStats(t, tc.preset, tc.workers).Deterministic().MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := analyzePresetStats(t, tc.preset, tc.workers).Deterministic().MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s workers=%d: deterministic projections differ across runs\nfirst:\n%s\nsecond:\n%s",
+				tc.preset, tc.workers, first, second)
+		}
 	}
 }

@@ -11,13 +11,11 @@
 //  4. a hybrid happens-before + lockset race detector with the paper's
 //     three sound optimizations.
 //
-// The canonical entry points are context-first: Analyze (programmatically
-// built IR), AnalyzeSources / AnalyzeSourceCtx (minilang text as typed
-// Source values), and AnalyzeCorpus (a streamed corpus of independent
+// There are three entry points, all context-first: Analyze
+// (programmatically built IR), AnalyzeSources (minilang text as typed
+// Source values) and AnalyzeCorpus (a streamed corpus of independent
 // programs, analyzed in parallel with input-ordered emission).
 // Cancellation and deadlines propagate into every pipeline stage.
-// AnalyzeSource and AnalyzeProgram are thin context.Background legacy
-// wrappers kept for convenience.
 package o2
 
 import (
@@ -149,11 +147,6 @@ type Result struct {
 	// was set): per-phase wall/CPU spans, PTA/OSA/SHB size counters,
 	// cache hit rates and worker utilization.
 	RunStats *obs.RunStats
-
-	// Inc reports per-unit summary reuse (nil unless the run went
-	// through AnalyzeIncremental): units total/reused/recomputed, replay
-	// errors, and whether the run fell back to whole-program compilation.
-	Inc *IncStats
 }
 
 // entriesUnset reports whether the config carries no entry-point
@@ -189,8 +182,7 @@ func (r *Result) TotalTime() time.Duration {
 // zero-value Detector (ignoring Workers and Obs, which are orthogonal
 // knobs) is upgraded to the full O2 optimization set, and the top-level
 // Workers and Obs fields override their Detector counterparts. normalize
-// is idempotent; AnalyzeProgram used to inline this logic, which made the
-// upgrade rules untestable in isolation.
+// is idempotent.
 func (c Config) normalize() Config {
 	if entriesUnset(c.Entries) {
 		c.Entries = ir.DefaultEntryConfig()
@@ -249,30 +241,6 @@ func entriesFingerprint(e ir.EntryConfig) string {
 		part(e.JoinMethods) + part(e.WaitMethods) + part(e.NotifyMethods) +
 		part(e.LockFuncs) + part(e.UnlockFuncs) +
 		part(e.WgAddMethods) + part(e.WgDoneMethods) + part(e.WgWaitMethods)
-}
-
-// AnalyzeSource is the legacy convenience wrapper over AnalyzeSourceCtx
-// with context.Background(): no cancellation, no deadline beyond
-// Config.TimeBudget. New code should call AnalyzeSourceCtx (or
-// AnalyzeSources for multi-file programs) and pass a real context.
-func AnalyzeSource(filename, src string, cfg Config) (*Result, error) {
-	return AnalyzeSourceCtx(context.Background(), filename, src, cfg)
-}
-
-// AnalyzeSourceCtx compiles one minilang source and analyzes it under a
-// context; see Analyze for the cancellation contract. It is the
-// single-file form of AnalyzeSources, sharing its ErrCompile tagging of
-// front-end failures.
-func AnalyzeSourceCtx(ctx context.Context, filename, src string, cfg Config) (*Result, error) {
-	return AnalyzeSources(ctx, []Source{{Name: filename, Bytes: []byte(src)}}, cfg)
-}
-
-// AnalyzeProgram is the legacy convenience wrapper over Analyze with
-// context.Background(): no cancellation or deadline beyond
-// Config.TimeBudget. New code should call Analyze and pass a real
-// context.
-func AnalyzeProgram(prog *ir.Program, cfg Config) (*Result, error) {
-	return Analyze(context.Background(), prog, cfg)
 }
 
 // Analyze is the primary entry point: it runs the full pipeline (pointer

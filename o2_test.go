@@ -1,6 +1,7 @@
 package o2
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func analyze(t *testing.T, src string, cfg Config) *Result {
 	t.Helper()
-	res, err := AnalyzeSource("test.mini", src, cfg)
+	res, err := AnalyzeSources(context.Background(), []Source{{Name: "test.mini", Bytes: []byte(src)}}, cfg)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -2,6 +2,7 @@ package o2
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"o2/internal/lang"
@@ -50,10 +51,15 @@ func (it *sliceIter) Next() (Source, bool, error) {
 // stream from internal/corpus discovery instead of materializing.
 func SliceSources(srcs []Source) SourceIter { return &sliceIter{srcs: srcs} }
 
+// ErrCompile tags front-end failures (parse or lowering errors), so
+// schedulers and CLIs can classify them as input errors without string
+// matching (errors.Is(err, o2.ErrCompile)).
+var ErrCompile = errors.New("compile error")
+
 // AnalyzeSources compiles one program from the given sources (every
 // source is one file of the same program) and analyzes it under ctx; it
-// is the canonical multi-file entry point that AnalyzeSourceCtx, the
-// batch scheduler and the corpus pipeline all route through. Compile
+// is the source-text entry point that `o2 analyze`, the batch scheduler
+// and the corpus pipeline all route through. Compile
 // failures are tagged ErrCompile so callers can classify them without
 // string matching; duplicate source names are a compile failure.
 func AnalyzeSources(ctx context.Context, sources []Source, cfg Config) (*Result, error) {
